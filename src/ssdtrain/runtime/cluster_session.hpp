@@ -20,9 +20,16 @@
 ///     so a deep pipeline's steady-state step costs what a single-GPU
 ///     replayed step does (per stage).
 ///
-/// With pipeline_parallel = tensor_parallel = data_parallel = 1 the session
-/// degenerates to exactly the TrainingSession composition and its StepStats
-/// are bit-identical — the contract the cluster tests pin down.
+/// Each virtual stage is a StageRuntime (the composition TrainingSession
+/// also uses) wrapped in lane-driver state, and one RecoveryLedger serves
+/// the whole pipeline. With pipeline_parallel = tensor_parallel =
+/// data_parallel = 1 on GPU 0 of hw::catalog::cluster_node(1, N) — the case
+/// the cluster tests pin — the StepStats, checkpoint accounting and goodput
+/// are bit-identical to a TrainingSession on the same node and GPU. The two
+/// drivers stay separate because they differ beyond that case: the cluster
+/// places stage s on GPU s and sends TP all-reduces as NVLink flows, while
+/// TrainingSession runs on any configured GPU and uses the closed-form
+/// all-reduce model.
 
 #include <map>
 #include <memory>
@@ -30,44 +37,32 @@
 #include <utility>
 #include <vector>
 
-#include "ssdtrain/ckpt/policy.hpp"
-#include "ssdtrain/core/malloc_hook.hpp"
-#include "ssdtrain/core/offloader.hpp"
-#include "ssdtrain/core/planner.hpp"
-#include "ssdtrain/core/tensor_cache.hpp"
 #include "ssdtrain/hw/catalog.hpp"
 #include "ssdtrain/hw/node.hpp"
-#include "ssdtrain/modules/model.hpp"
 #include "ssdtrain/runtime/executor.hpp"
+#include "ssdtrain/runtime/recovery_ledger.hpp"
 #include "ssdtrain/runtime/session.hpp"
+#include "ssdtrain/runtime/stage_runtime.hpp"
 #include "ssdtrain/runtime/step_stats.hpp"
 #include "ssdtrain/sched/schedule.hpp"
 
 namespace ssdtrain::runtime {
 
-struct ClusterConfig {
-  modules::ModelConfig model;
-  parallel::ParallelConfig parallel;
+/// Per-stage record/replay staggers the recordings: stage chunk c records
+/// on step c (one recorder per GPU at a time) unless its program-cache
+/// lookup hits. The SSDTrain knobs and the budget override apply to every
+/// stage's planner, offloader and cache.
+struct ClusterConfig : SessionOptions {
   /// SSDs in each GPU's RAID0 array when the node is auto-built (one GPU
   /// per pipeline stage via hw::catalog::cluster_node).
   int ssds_per_gpu = 4;
   /// Explicit machine override; must carry >= pipeline_parallel GPUs.
+  /// Stage s runs on GPU s; further GPUs host no stage.
   std::optional<hw::NodeConfig> node;
-  Strategy strategy = Strategy::ssdtrain;
-  int micro_batches = 1;
   sched::PipelineKind schedule = sched::PipelineKind::one_f_one_b;
   /// Model chunks per GPU (Megatron interleaved 1F1B). 1 for the plain
   /// schedules.
   int virtual_stages = 1;
-  /// Per-stage step-graph record/replay: each stage traces once (stage
-  /// chunk c records on step c, one recorder per GPU at a time) and
-  /// replays its compact program afterwards.
-  bool use_replay = true;
-  /// Optional shared program cache (requires use_replay), consulted per
-  /// virtual stage: a stage whose fingerprint hits skips its recording step
-  /// and replays from step 0. Mirrors SessionConfig::program_cache,
-  /// including the stop-on-structural-fault rule. Not owned.
-  ProgramCache* program_cache = nullptr;
   /// Launch/hop latency of pipeline sends and DP collectives.
   util::Seconds fabric_hop_latency = util::us(5);
   /// Per-GPU DP-fabric link bandwidth (NIC class; the DP group crosses
@@ -77,26 +72,6 @@ struct ClusterConfig {
   /// array: the optimizer's state partition is read before and written
   /// back after the weight update, as flows on the GDS paths.
   bool zero_offload_optimizer = false;
-
-  // SSDTrain knobs, mirrored from SessionConfig (applied per stage):
-  bool use_gds = true;
-  bool forwarding = true;
-  int prefetch_lookahead = 1;
-  bool install_malloc_hook = true;
-  int store_workers = 2;
-  int load_workers = 2;
-  /// Overrides each stage planner's offload budget when set.
-  std::optional<util::Bytes> budget_override;
-
-  /// Seeded fault injection over the whole cluster (empty = disabled).
-  fault::FaultConfig faults;
-  /// Offload retry/backoff knobs applied to every stage's offloader.
-  core::OffloadFaultPolicy fault_policy;
-
-  /// Crash-consistent checkpointing of every stage's weights + optimizer
-  /// (or ZeRO) shard to its offload SSDs. Disabled by default; required
-  /// before any stage-crash fault with lose=state.
-  ckpt::CheckpointPolicy checkpoint;
 };
 
 /// One virtual stage's measurements (virtual stage = chunk * pp + gpu).
@@ -153,23 +128,24 @@ class ClusterSession {
 
   /// Null unless config.checkpoint is enabled.
   [[nodiscard]] ckpt::CheckpointWriter* checkpoint_writer() {
-    return ckpt_writer_.get();
+    return ledger_->writer();
   }
   /// Steps durably completed (rolls back on destructive crashes); diverges
   /// from the run_step call count once a recovery replays lost steps.
-  [[nodiscard]] std::uint64_t logical_step() const { return logical_step_; }
+  [[nodiscard]] std::uint64_t logical_step() const {
+    return ledger_->logical_step();
+  }
   /// Wall-clock decomposition: useful step time vs checkpoint/restore/lost
   /// overhead, cluster-wide.
-  [[nodiscard]] ckpt::GoodputReport goodput();
+  [[nodiscard]] ckpt::GoodputReport goodput() { return ledger_->goodput(); }
 
  private:
-  struct StageContext;  ///< one (gpu, chunk) model slice and its runtime
+  struct StageContext;  ///< one virtual stage's runtime and driver state
   struct GpuLane;       ///< one GPU's expanded command stream
   class ClusterSimGuard;
 
-  /// Builds one virtual stage's context; returns its cache offload budget
-  /// (0 for non-offloading strategies) for pinned-pool sizing.
-  util::Bytes build_stage(int virtual_stage);
+  /// Builds one virtual stage's context.
+  void build_stage(int virtual_stage);
   /// Dispatches one lane command; false when a recv's matching send has
   /// not been dispatched yet (the lane stalls, NCCL blocking-recv style).
   bool dispatch(int gpu, const sched::Command& command);
@@ -182,15 +158,6 @@ class ClusterSession {
   /// reduction flows, optimizer-state fetch, then every chunk's optimizer
   /// command, then the post-optimizer all-gather / state writeback.
   void dispatch_optimizer(int gpu);
-  /// Re-plans every offloading stage against its degraded array bandwidth
-  /// and installs the rebalanced budgets into the live caches.
-  void rebalance_after_fault();
-  [[nodiscard]] bool checkpoint_due() const;
-  /// Post-step checkpoint/recovery driver (see TrainingSession): restores
-  /// every stage — surviving ranks must roll back with the crashed one,
-  /// since committed optimizer steps cannot be un-applied — or commits a
-  /// due checkpoint, and keeps the goodput ledger.
-  void finish_step_accounting(ClusterStepStats& out);
   sim::CompletionPtr launch_fabric_flow(
       util::Label label, util::Bytes bytes,
       std::vector<sim::BandwidthNetwork::ResourceId> path, int gpu,
@@ -219,22 +186,10 @@ class ClusterSession {
   util::Bytes p2p_bytes_step_ = 0;
   util::Bytes dp_bytes_step_ = 0;
 
-  // Checkpoint / recovery state (inert without a policy). step_index_
-  // stays monotone — it drives the record stagger — so the rollbackable
-  // step count lives in logical_step_.
-  std::unique_ptr<ckpt::CheckpointWriter> ckpt_writer_;
-  std::uint64_t logical_step_ = 0;
-  int steps_since_commit_ = 0;
-  sim::TimePoint last_commit_wall_ = 0.0;
-  util::Seconds auto_interval_ = 0.0;
-  bool auto_cost_known_ = false;
-  util::Seconds committed_useful_ = 0.0;
-  util::Seconds provisional_useful_ = 0.0;
-  util::Seconds checkpoint_time_total_ = 0.0;
-  util::Seconds restore_time_total_ = 0.0;
-  util::Seconds lost_work_total_ = 0.0;
-  std::uint64_t restores_ = 0;
-  std::uint64_t rollback_total_ = 0;
+  // Checkpoint / recovery. step_index_ stays monotone — it drives the
+  // record stagger — so the rollbackable step count lives in the ledger.
+  std::vector<int> stage_gpus_;  ///< 0..pp-1, for the ledger
+  std::unique_ptr<RecoveryLedger> ledger_;
 };
 
 }  // namespace ssdtrain::runtime

@@ -23,7 +23,12 @@
 ///                       override the pipeline / tensor / data parallelism
 ///                       of every session the bench builds (unset = the
 ///                       bench's own defaults, so golden CSVs reproduce
-///                       bit-for-bit without the flags)
+///                       bit-for-bit without the flags). --pp > 1 needs a
+///                       ClusterSession bench (bench_cluster_scale,
+///                       bench_resilience, example_pipeline_bubbles): a
+///                       TrainingSession runs the whole model on one GPU
+///                       and rejects it, so every point of the other
+///                       benches fails with that error
 ///   --zero none|1|2|3   override the ZeRO stage the same way
 ///   --faults SPECS      seeded fault injection: a semicolon-separated
 ///                       FaultSpec list applied to every session the bench

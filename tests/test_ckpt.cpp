@@ -636,4 +636,42 @@ TEST(CkptCluster, PipelineCrashRollsBackAllStagesAndReplays) {
   EXPECT_GT(report.lost_work_time, 0.0);
 }
 
+/// The crash rule both sessions share: a lose=state crash restores only
+/// when it hits a GPU that hosts a stage. An explicit node's spare GPU holds
+/// no training state, so crashing it rolls nothing back.
+TEST(CkptCluster, CrashOnGpuWithoutStageDoesNotRollBack) {
+  rt::ClusterConfig config;
+  config.model = m::bert_config(2048, 2, 2);
+  config.parallel.pipeline_parallel = 2;
+  config.micro_batches = 2;
+  config.node = hw::catalog::cluster_node(3, 1);  // GPU 2 hosts no stage
+  config.checkpoint.every_steps = 2;
+  config.faults = armed_but_quiet();
+  rt::ClusterSession session(std::move(config));
+  session.run_steps(3);
+  ASSERT_EQ(session.logical_step(), 3u);
+
+  f::FaultSpec crash;
+  crash.kind = f::FaultKind::stage_crash;
+  crash.gpu = 2;
+  crash.duration = 0.001;
+  crash.lose = f::CrashLoss::state;
+  session.injector()->trigger(crash);
+
+  const rt::ClusterStepStats step = session.run_step();
+  EXPECT_TRUE(session.injector()->pending_crashes().empty());
+  EXPECT_EQ(step.combined.restore_time, 0.0);
+  EXPECT_EQ(step.combined.rollback_steps, 0u);
+  EXPECT_EQ(step.combined.lost_work_time, 0.0);
+  EXPECT_EQ(session.logical_step(), 4u);
+  session.run_step();
+  EXPECT_EQ(session.logical_step(), 5u);
+
+  const ck::GoodputReport report = session.goodput();
+  EXPECT_EQ(report.restores, 0u);
+  EXPECT_EQ(report.rollback_steps, 0u);
+  EXPECT_EQ(report.lost_work_time, 0.0);
+  EXPECT_EQ(report.checkpoints, 2u);  // after logical steps 2 and 4
+}
+
 }  // namespace

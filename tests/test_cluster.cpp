@@ -11,6 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "ssdtrain/ckpt/policy.hpp"
+#include "ssdtrain/fault/fault.hpp"
+#include "ssdtrain/fault/injector.hpp"
 #include "ssdtrain/modules/model.hpp"
 #include "ssdtrain/parallel/zero.hpp"
 #include "ssdtrain/runtime/cluster_session.hpp"
@@ -18,6 +21,8 @@
 #include "ssdtrain/util/check.hpp"
 #include "ssdtrain/util/units.hpp"
 
+namespace ck = ssdtrain::ckpt;
+namespace f = ssdtrain::fault;
 namespace rt = ssdtrain::runtime;
 namespace m = ssdtrain::modules;
 namespace sc = ssdtrain::sched;
@@ -46,6 +51,18 @@ void expect_equal(const rt::StepStats& a, const rt::StepStats& b,
   EXPECT_EQ(a.ssd_write_amplification, b.ssd_write_amplification);
   EXPECT_EQ(a.required_write_bandwidth, b.required_write_bandwidth);
 
+  EXPECT_EQ(a.io_retries, b.io_retries);
+  EXPECT_EQ(a.io_failures, b.io_failures);
+  EXPECT_EQ(a.recompute_fallbacks, b.recompute_fallbacks);
+  EXPECT_EQ(a.fault_stall_time, b.fault_stall_time);
+  EXPECT_EQ(a.program_invalidations, b.program_invalidations);
+
+  EXPECT_EQ(a.checkpoint_time, b.checkpoint_time);
+  EXPECT_EQ(a.checkpoint_bytes, b.checkpoint_bytes);
+  EXPECT_EQ(a.restore_time, b.restore_time);
+  EXPECT_EQ(a.rollback_steps, b.rollback_steps);
+  EXPECT_EQ(a.lost_work_time, b.lost_work_time);
+
   EXPECT_EQ(a.cache.packs, b.cache.packs);
   EXPECT_EQ(a.cache.unpacks, b.cache.unpacks);
   EXPECT_EQ(a.cache.dedup_hits, b.cache.dedup_hits);
@@ -70,6 +87,18 @@ void expect_equal(const rt::StepStats& a, const rt::StepStats& b,
             b.offloader_totals.failed_stores);
 }
 
+void expect_equal(const ck::GoodputReport& a, const ck::GoodputReport& b) {
+  EXPECT_EQ(a.wall_clock, b.wall_clock);
+  EXPECT_EQ(a.useful_time, b.useful_time);
+  EXPECT_EQ(a.checkpoint_time, b.checkpoint_time);
+  EXPECT_EQ(a.restore_time, b.restore_time);
+  EXPECT_EQ(a.lost_work_time, b.lost_work_time);
+  EXPECT_EQ(a.checkpoints, b.checkpoints);
+  EXPECT_EQ(a.restores, b.restores);
+  EXPECT_EQ(a.rollback_steps, b.rollback_steps);
+  EXPECT_EQ(a.checkpoint_bytes, b.checkpoint_bytes);
+}
+
 std::vector<m::ModelConfig> model_grid(int layers) {
   return {
       m::bert_config(2048, layers, 2),
@@ -90,7 +119,9 @@ std::vector<rt::Strategy> all_strategies() {
 
 // With pp = tp = dp = 1 the session must degenerate to exactly the
 // TrainingSession composition: same machine, same schedule, same planner
-// and cache — StepStats bit-identical every step.
+// and cache — StepStats bit-identical every step. Both sessions share one
+// recovery ledger, so checkpoint commits, a destructive crash's restore and
+// rollback, and the goodput report match too.
 TEST(ClusterIdentity, DegenerateClusterMatchesTrainingSession) {
   for (const auto& model : model_grid(2)) {
     for (rt::Strategy strategy : all_strategies()) {
@@ -121,6 +152,52 @@ TEST(ClusterIdentity, DegenerateClusterMatchesTrainingSession) {
       }
     }
   }
+
+  // Ledger parity: a commit every two steps and a lose=state crash on GPU 0
+  // before step 4, which restores the step-2 commit and rolls back.
+  f::FaultSpec armed;  // arms the injector without perturbing anything
+  armed.kind = f::FaultKind::ssd_latency;
+  armed.latency = 1e-9;
+  armed.duration = 1e-9;
+
+  rt::SessionConfig single_cfg;
+  single_cfg.model = m::gpt_config(2048, 2, 2);
+  single_cfg.node = ssdtrain::hw::catalog::cluster_node(1, 4);
+  single_cfg.gpu_index = 0;
+  single_cfg.micro_batches = 2;
+  single_cfg.checkpoint.every_steps = 2;
+  single_cfg.faults.specs = {armed};
+  rt::TrainingSession single(single_cfg);
+
+  rt::ClusterConfig cluster_cfg;
+  cluster_cfg.model = single_cfg.model;
+  cluster_cfg.micro_batches = 2;
+  cluster_cfg.checkpoint.every_steps = 2;
+  cluster_cfg.faults.specs = {armed};
+  rt::ClusterSession cluster(std::move(cluster_cfg));
+
+  f::FaultSpec crash;
+  crash.kind = f::FaultKind::stage_crash;
+  crash.gpu = 0;
+  crash.duration = 0.01;
+  crash.lose = f::CrashLoss::state;
+  for (int step = 0; step < 6; ++step) {
+    if (step == 3) {
+      single.injector()->trigger(crash);
+      cluster.injector()->trigger(crash);
+    }
+    const auto a = single.run_step();
+    const auto b = cluster.run_step();
+    expect_equal(a, b.combined, "ledger step " + std::to_string(step));
+    if (step == 3) {
+      EXPECT_GT(a.restore_time, 0.0);
+      EXPECT_EQ(a.rollback_steps, 2u);
+    }
+    EXPECT_EQ(single.logical_step(), cluster.logical_step());
+  }
+  EXPECT_EQ(single.logical_step(), 4u);
+  SCOPED_TRACE("goodput");
+  expect_equal(single.goodput(), cluster.goodput());
 }
 
 // The acceptance grid: every model under every strategy on a deep pipeline

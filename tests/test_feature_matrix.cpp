@@ -119,9 +119,10 @@ TEST(FeatureMatrix, InteroperabilityHooksAreRemovable) {
 TEST(FeatureMatrix, InteroperabilityWithPipelineSchedules) {
   // The cache keeps per-micro-batch records, so 1F1B's interleaved
   // forward/backward pattern (several micro-batches in flight) works.
+  // The schedule alone makes the executor run one stage's command stream;
+  // TrainingSession itself rejects pipeline_parallel > 1.
   auto config = config_for(rt::Strategy::ssdtrain);
   config.model = m::bert_config(4096, 2, 4);
-  config.parallel.pipeline_parallel = 4;
   rt::TrainingSession session(std::move(config));
   const auto schedule = ssdtrain::sched::schedule_1f1b(8, 4, 1);
   EXPECT_EQ(ssdtrain::sched::peak_in_flight_micro_batches(schedule), 3);

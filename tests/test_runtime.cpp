@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ssdtrain/hw/catalog.hpp"
 #include "ssdtrain/modules/model.hpp"
 #include "ssdtrain/runtime/session.hpp"
+#include "ssdtrain/util/check.hpp"
 #include "ssdtrain/util/units.hpp"
 
 namespace rt = ssdtrain::runtime;
@@ -321,4 +324,20 @@ TEST(Integration, ReplayDisabledSessionMatchesReplayEnabledExactly) {
   }
   EXPECT_NE(a.program(), nullptr);
   EXPECT_EQ(b.program(), nullptr);
+}
+
+TEST(Integration, PipelineParallelIsRejectedInFavourOfClusterSession) {
+  // The session runs every layer on one GPU, so a pipeline degree could
+  // only shrink the planner's budget (it divides offloadable bytes by pp)
+  // without slicing the model. Pipelines belong to ClusterSession.
+  auto config = base_config(rt::Strategy::ssdtrain);
+  config.parallel.pipeline_parallel = 4;
+  try {
+    rt::TrainingSession session(std::move(config));
+    ADD_FAILURE() << "pipeline_parallel = 4 was accepted";
+  } catch (const u::ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("ClusterSession"),
+              std::string::npos)
+        << e.what();
+  }
 }

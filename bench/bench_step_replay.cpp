@@ -4,7 +4,8 @@
 // replayed step (counted via an operator-new override in this binary).
 //
 //   keep-small — BERT H2048 L2 B2, keep-in-gpu. The pure replay path: raw
-//                slots (device block + ready event), streams, completions.
+//                slots (device block only; the stream orders readers),
+//                streams, completions.
 //                Replay must perform ZERO heap allocations at steady state
 //                — asserted, sanitizer legs included, like bench_sim_core's
 //                ping-pong — and the trace-bound keep configurations must

@@ -7,13 +7,9 @@
 namespace ssdtrain::hw {
 
 BlockAllocator::BlockAllocator(util::Bytes capacity, util::Bytes alignment)
-    : capacity_(capacity),
-      alignment_(alignment),
-      pool_(util::SlabPool::create()),
-      free_by_offset_(RangeMap::allocator_type(pool_)) {
+    : capacity_(capacity), alignment_(alignment), free_{{0, capacity}} {
   util::expects(capacity > 0, "capacity must be positive");
   util::expects(alignment > 0, "alignment must be positive");
-  free_by_offset_.emplace(0, capacity);
 }
 
 util::Bytes BlockAllocator::align_up(util::Bytes n) const {
@@ -26,29 +22,30 @@ std::optional<Block> BlockAllocator::allocate(util::Bytes bytes) {
   // First fit in address order: keeps long-lived allocations packed low,
   // mirroring the behaviour of CUDA's caching allocator well enough for
   // fragmentation statistics.
-  for (auto it = free_by_offset_.begin(); it != free_by_offset_.end(); ++it) {
-    if (it->second < need) continue;
-    const std::int64_t offset = it->first;
-    const util::Bytes range = it->second;
-    free_by_offset_.erase(it);
-    if (range > need) {
-      free_by_offset_.emplace(offset + need, range - need);
-    }
-    std::uint32_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      slot = static_cast<std::uint32_t>(live_slots_.size());
-      live_slots_.emplace_back();
-    }
-    const std::uint32_t generation = live_slots_[slot].generation + 1;
-    live_slots_[slot] = LiveSlot{offset, need, generation};
-    ++live_count_;
-    used_ += need;
-    return Block{offset, need, slot, generation};
+  const auto fit = std::find_if(
+      free_.begin(), free_.end(),
+      [need](const FreeRange& r) { return r.size >= need; });
+  if (fit == free_.end()) return std::nullopt;
+  const std::int64_t offset = fit->offset;
+  if (fit->size == need) {
+    free_.erase(fit);
+  } else {
+    fit->offset += need;
+    fit->size -= need;
   }
-  return std::nullopt;
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(live_slots_.size());
+    live_slots_.emplace_back();
+    free_.reserve(live_slots_.capacity() + 1);  // see free_
+  }
+  const std::uint32_t generation = live_slots_[slot].generation + 1;
+  live_slots_[slot] = LiveSlot{offset, need, generation};
+  used_ += need;
+  return Block{offset, need, slot, generation};
 }
 
 void BlockAllocator::free(const Block& block) {
@@ -59,36 +56,32 @@ void BlockAllocator::free(const Block& block) {
                 "free of unknown or already-freed block");
   live_slots_[block.cookie].offset = -1;
   free_slots_.push_back(block.cookie);
-  --live_count_;
   used_ -= block.size;
 
-  std::int64_t offset = block.offset;
-  util::Bytes size = block.size;
-
-  // Coalesce with successor.
-  auto next = free_by_offset_.lower_bound(offset);
-  if (next != free_by_offset_.end() && offset + size == next->first) {
-    size += next->second;
-    next = free_by_offset_.erase(next);
-  }
-  // Coalesce with predecessor.
-  if (next != free_by_offset_.begin()) {
-    auto prev = std::prev(next);
-    if (prev->first + prev->second == offset) {
-      offset = prev->first;
-      size += prev->second;
-      free_by_offset_.erase(prev);
+  // Coalesce with the neighbouring free ranges in place.
+  const auto next = std::lower_bound(
+      free_.begin(), free_.end(), block.offset,
+      [](const FreeRange& r, std::int64_t at) { return r.offset < at; });
+  const bool joins_next =
+      next != free_.end() && block.offset + block.size == next->offset;
+  const auto prev = next == free_.begin() ? free_.end() : std::prev(next);
+  if (prev != free_.end() && prev->offset + prev->size == block.offset) {
+    prev->size += block.size;
+    if (joins_next) {
+      prev->size += next->size;
+      free_.erase(next);
     }
+  } else if (joins_next) {
+    next->offset = block.offset;
+    next->size += block.size;
+  } else {
+    free_.insert(next, FreeRange{block.offset, block.size});
   }
-  free_by_offset_.emplace(offset, size);
 }
 
 util::Bytes BlockAllocator::largest_free_range() const {
   util::Bytes largest = 0;
-  for (const auto& [offset, size] : free_by_offset_) {
-    (void)offset;
-    largest = std::max(largest, size);
-  }
+  for (const FreeRange& r : free_) largest = std::max(largest, r.size);
   return largest;
 }
 

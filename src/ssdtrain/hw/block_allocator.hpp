@@ -9,12 +9,9 @@
 /// judging whether an activation working set actually fits.
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <string>
 #include <vector>
 
-#include "ssdtrain/util/pool.hpp"
 #include "ssdtrain/util/units.hpp"
 
 namespace ssdtrain::hw {
@@ -58,20 +55,25 @@ class BlockAllocator {
   /// 1 - largest_free_range / free_bytes; 0 when memory is unfragmented.
   [[nodiscard]] double external_fragmentation() const;
 
-  [[nodiscard]] std::size_t live_blocks() const { return live_count_; }
-  [[nodiscard]] std::size_t free_ranges() const { return free_by_offset_.size(); }
+  [[nodiscard]] std::size_t live_blocks() const {
+    return live_slots_.size() - free_slots_.size();
+  }
+  [[nodiscard]] std::size_t free_ranges() const { return free_.size(); }
 
  private:
   util::Bytes align_up(util::Bytes n) const;
 
-  // Map nodes recycle through a per-allocator slab pool: sustained
-  // alloc/free traffic (one activation per operator, every step) reaches
-  // its high-water mark once and then never touches malloc — a
-  // prerequisite for the step-replay path's zero-allocation contract.
-  using RangeMap =
-      std::map<std::int64_t, util::Bytes, std::less<std::int64_t>,
-               util::PoolAllocator<std::pair<const std::int64_t,
-                                             util::Bytes>>>;
+  /// free_ holds the free ranges sorted by offset, never touching (free()
+  /// coalesces). A flat vector, not a tree: allocate() shrinks or erases a
+  /// range in place, free() merges in place and inserts only when neither
+  /// neighbour touches. There are at most live blocks + 1 ranges, so
+  /// allocate() keeps the capacity one above the live-slot table's and
+  /// steady alloc/free traffic (one activation per operator, every step)
+  /// never touches malloc — the step-replay zero-allocation contract.
+  struct FreeRange {
+    std::int64_t offset = 0;
+    util::Bytes size = 0;
+  };
 
   /// One live block's identity; slots recycle through free_slots_. A
   /// vector instead of a map: free() and double-free detection are O(1)
@@ -87,12 +89,9 @@ class BlockAllocator {
   util::Bytes capacity_;
   util::Bytes alignment_;
   util::Bytes used_ = 0;
-  util::SlabPool::Handle pool_;
-  // offset -> size for free ranges.
-  RangeMap free_by_offset_;
+  std::vector<FreeRange> free_;
   std::vector<LiveSlot> live_slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::size_t live_count_ = 0;
 };
 
 }  // namespace ssdtrain::hw

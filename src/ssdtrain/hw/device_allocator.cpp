@@ -1,6 +1,6 @@
 #include "ssdtrain/hw/device_allocator.hpp"
 
-#include <numeric>
+#include <algorithm>
 
 #include "ssdtrain/util/check.hpp"
 #include "ssdtrain/util/units.hpp"
@@ -78,10 +78,6 @@ void DeviceAllocator::free(const DeviceAllocation& allocation) {
 }
 
 util::Bytes DeviceAllocator::capacity() const { return arena_.capacity(); }
-
-util::Bytes DeviceAllocator::live_total() const {
-  return std::accumulate(live_.begin(), live_.end(), util::Bytes{0});
-}
 
 util::Bytes DeviceAllocator::live(MemoryTag tag) const {
   return live_[tag_index(tag)];

@@ -11,13 +11,11 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "ssdtrain/hw/block_allocator.hpp"
-#include "ssdtrain/util/pool.hpp"
 #include "ssdtrain/util/units.hpp"
 
 namespace ssdtrain::hw {
@@ -65,7 +63,8 @@ class DeviceAllocator {
   void free(const DeviceAllocation& allocation);
 
   [[nodiscard]] util::Bytes capacity() const;
-  [[nodiscard]] util::Bytes live_total() const;
+  /// Sum over tags: every tagged byte is an arena block.
+  [[nodiscard]] util::Bytes live_total() const { return arena_.used(); }
   [[nodiscard]] util::Bytes live(MemoryTag tag) const;
 
   /// High-water mark of live bytes for \p tag since the last reset.
@@ -77,14 +76,6 @@ class DeviceAllocator {
   /// Resets peaks to current live values (called at step boundaries, like
   /// torch.cuda.reset_peak_memory_stats).
   void reset_peaks();
-
-  [[nodiscard]] std::uint64_t allocation_count() const { return next_id_ - 1; }
-  [[nodiscard]] std::size_t live_allocation_count() const {
-    return arena_.live_blocks();
-  }
-  [[nodiscard]] double external_fragmentation() const {
-    return arena_.external_fragmentation();
-  }
 
   /// Hook invoked with (+bytes on alloc / -bytes on free, tag). The CUDA
   /// malloc hook library (paper §III-A) attaches here to register memory

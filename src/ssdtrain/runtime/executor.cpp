@@ -550,8 +550,8 @@ void Executor::replay_kernel(const StepProgram& program,
     auto done = stream.enqueue_labeled(program.labels[op.b], op.x, deps);
     bind_pending_replay(done);
   } else {
-    // Nothing will ever wait on this kernel's completion (the trace path
-    // never observed it either) — skip minting one.
+    // No ready event is pending on this kernel, so nothing will ever wait
+    // on its completion — skip minting one.
     stream.enqueue_labeled_detached(program.labels[op.b], op.x, deps);
   }
   executed_flops_ += op.y;
@@ -659,17 +659,18 @@ void Executor::replay_ops_tensor(const StepProgram& program,
 
 /// Specialised interpreter for cache-less programs (keep-in-gpu and pure
 /// recompute): no consumer ever needs a Tensor object, so a value slot is
-/// just the device block plus the ready event — tensor creation shrinks to
-/// one arena allocation and one pooled completion, with no shared_ptr
-/// machinery at all. Host-tensor ops vanish entirely (nothing observes
-/// host storage).
+/// just the device block. Host-tensor ops vanish entirely (nothing
+/// observes host storage), and activations get no ready event: their
+/// producer (the next kernel or comm) and every reader run in order on
+/// this compute stream, which starts a task only after the previous one
+/// fired (a comm gates later tasks through Stream::wait_for). Only stage
+/// inputs keep a gate, the recv completion of another stage's send.
 void Executor::replay_ops_raw(const StepProgram& program, std::size_t begin,
                               std::size_t end,
                               sim::CompletionPtr& pre_optimizer_marker) {
   auto& gpu_ctx = node_.gpu(options_.gpu_index);
   auto& allocator = *gpu_ctx.allocator;
   auto& stream = *gpu_ctx.compute_stream;
-  auto& sim = node_.simulator();
   if (replay_raw_slots_.size() < program.slot_count) {
     replay_raw_slots_.resize(program.slot_count);
   }
@@ -681,10 +682,8 @@ void Executor::replay_ops_raw(const StepProgram& program, std::size_t begin,
         RawSlot& slot = replay_raw_slots_[op.a];
         slot.alloc = allocator.allocate(static_cast<util::Bytes>(op.y),
                                         hw::MemoryTag::activation);
-        slot.ready = sim::Completion::create(sim);
-        slot.device = true;
+        slot.ready.reset();  // ordered by the stream
         slot.live = true;
-        replay_pending_.push_back(slot.ready);
         break;
       }
       case StepProgram::OpKind::stage_input: {
@@ -692,7 +691,6 @@ void Executor::replay_ops_raw(const StepProgram& program, std::size_t begin,
         slot.alloc = allocator.allocate(static_cast<util::Bytes>(op.y),
                                         hw::MemoryTag::activation);
         slot.ready = next_stage_input_ready();
-        slot.device = true;
         slot.live = true;
         break;
       }
@@ -723,7 +721,7 @@ void Executor::replay_ops_raw(const StepProgram& program, std::size_t begin,
         break;
       case StepProgram::OpKind::drop_value: {
         RawSlot& slot = replay_raw_slots_[op.a];
-        if (slot.live && slot.device) allocator.free(slot.alloc);
+        if (slot.live) allocator.free(slot.alloc);
         slot.live = false;
         slot.ready.reset();
         break;
@@ -766,7 +764,7 @@ void Executor::end_replay_step() {
   auto& gpu_ctx = node_.gpu(options_.gpu_index);
   for (auto& slot : replay_slots_) slot.reset();
   for (auto& slot : replay_raw_slots_) {
-    if (slot.live && slot.device) gpu_ctx.allocator->free(slot.alloc);
+    if (slot.live) gpu_ctx.allocator->free(slot.alloc);
     slot.live = false;
     slot.ready.reset();
   }

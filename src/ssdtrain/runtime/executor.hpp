@@ -269,12 +269,11 @@ class Executor final : public modules::ExecutionContext {
   util::Flops executed_flops_ = 0.0;
 
   /// Value slot for programs without a tensor cache: nothing downstream
-  /// needs a Tensor object, so the slot carries just the device block and
-  /// the ready event — no Storage, no Impl, no shared_ptr traffic.
+  /// needs a Tensor object, so the slot carries just the device block and,
+  /// for a stage input, its recv completion — no Storage, no shared_ptr.
   struct RawSlot {
     hw::DeviceAllocation alloc;
     sim::CompletionPtr ready;
-    bool device = false;
     bool live = false;
   };
 

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 namespace ssdtrain::runtime {
 
@@ -349,7 +350,11 @@ bool deserialize_program(std::string_view data,
 
   // Structural cross-checks: the checksum guards against corruption, not
   // against a well-formed file written by buggy tooling. Indices must
-  // land inside their tables before the replay loop trusts them.
+  // land inside their tables before the replay loop trusts them. Every
+  // slot is created by one op, which also bounds the tables sized by it.
+  if (program.slot_count > program.ops.size()) {
+    return fail(error, "slot table larger than the op stream");
+  }
   const auto labels = static_cast<std::uint32_t>(program.labels.size());
   const auto shapes = static_cast<std::uint32_t>(program.shapes.size());
   const auto entries = static_cast<std::uint32_t>(program.entries.size());
@@ -362,6 +367,11 @@ bool deserialize_program(std::string_view data,
     }
     return true;
   };
+  // An activation is pending from its alloc_activation until the next
+  // kernel or comm, whose completion is its ready event: a kernel gated on
+  // a pending slot would wait on itself, so no recording contains one.
+  std::vector<std::size_t> alloc_epoch(program.slot_count, 0);
+  std::size_t epoch = 1;  // one more than the kernels and comms so far
   for (const StepProgram::Op& op : program.ops) {
     using OpKind = StepProgram::OpKind;
     bool ok = true;
@@ -405,6 +415,13 @@ bool deserialize_program(std::string_view data,
         break;
     }
     if (!ok) return fail(error, "op index out of range");
+    if (op.kind == OpKind::alloc_activation) alloc_epoch[op.a] = epoch;
+    for (std::uint16_t i = 0; op.kind == OpKind::kernel && i < op.count; ++i) {
+      if (alloc_epoch[program.aux[op.a + i]] == epoch) {
+        return fail(error, "kernel gated on an activation it produces");
+      }
+    }
+    if (op.kind == OpKind::kernel || op.kind == OpKind::comm) ++epoch;
   }
   for (const std::uint32_t boundary : program.segments) {
     if (boundary > program.ops.size()) {

@@ -16,7 +16,9 @@
 ///
 /// What stays dynamic at replay — everything timing-dependent re-evaluates
 /// against the live simulation, exactly like the trace path does:
-///   * kernel gating (`ready && !done()` per dependency),
+///   * kernel gating (`ready && !done()` per dependency) with a cache;
+///     without one only stage inputs gate, as an activation's producer and
+///     readers share one FIFO compute stream,
 ///   * cache entry states (offloading/offloaded/... at unpack time),
 ///   * data forwarding, prefetch hits, wasted-store accounting,
 ///   * offloader refusal (pinned-pool exhaustion falls back to keeping).

@@ -15,7 +15,7 @@ Stream::Stream(Simulator& sim, std::string name)
     : sim_(sim), name_(std::move(name)), name_label_(name_) {}
 
 CompletionPtr Stream::combine_deps(std::vector<CompletionPtr> deps) {
-  for (const auto& w : pending_waits_) deps.push_back(w);
+  deps.insert(deps.end(), pending_waits_.begin(), pending_waits_.end());
   if (deps.empty()) return nullptr;
   std::size_t unfired = 0;
   const CompletionPtr* last_unfired = nullptr;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -254,11 +255,15 @@ TEST(ClusterReplay, TraceVsReplayEquivalenceAcrossSchedules) {
     int pp;
     int virtual_stages;
     int micro_batches;
+    int tp;
   };
   const std::vector<GridPoint> grid = {
-      {sc::PipelineKind::one_f_one_b, 2, 1, 4},
-      {sc::PipelineKind::gpipe, 2, 1, 2},
-      {sc::PipelineKind::interleaved_1f1b, 2, 2, 4},
+      {sc::PipelineKind::one_f_one_b, 2, 1, 4, 1},
+      {sc::PipelineKind::gpipe, 2, 1, 2, 1},
+      {sc::PipelineKind::interleaved_1f1b, 2, 2, 4, 1},
+      // TP all-reduces ride fabric flows: the programs hold comm ops, so
+      // activations produced by a collective replay too.
+      {sc::PipelineKind::one_f_one_b, 2, 1, 4, 2},
   };
   for (const auto& point : grid) {
     for (rt::Strategy strategy :
@@ -266,11 +271,13 @@ TEST(ClusterReplay, TraceVsReplayEquivalenceAcrossSchedules) {
       const std::string what = std::string(sc::to_string(point.kind)) +
                                " pp=" + std::to_string(point.pp) +
                                " v=" + std::to_string(point.virtual_stages) +
-                               " / " + std::string(to_string(strategy));
+                               " tp=" + std::to_string(point.tp) + " / " +
+                               std::string(to_string(strategy));
 
       rt::ClusterConfig config;
       config.model = m::gpt_config(2048, 4, 2);
       config.parallel.pipeline_parallel = point.pp;
+      config.parallel.tensor_parallel = point.tp;
       config.strategy = strategy;
       config.micro_batches = point.micro_batches;
       config.schedule = point.kind;
@@ -303,6 +310,12 @@ TEST(ClusterReplay, TraceVsReplayEquivalenceAcrossSchedules) {
         ASSERT_NE(replayed.program(vs), nullptr) << what;
         EXPECT_TRUE(replayed.program(vs)->replayable) << what;
         EXPECT_GT(replayed.program(vs)->ops.size(), 0u) << what;
+        const auto& ops = replayed.program(vs)->ops;
+        const bool has_comm =
+            std::any_of(ops.begin(), ops.end(), [](const auto& op) {
+              return op.kind == rt::StepProgram::OpKind::comm;
+            });
+        EXPECT_EQ(has_comm, point.tp > 1) << what;
       }
       // The trace-every-step cluster never records.
       for (int vs = 0; vs < traced.virtual_stage_count(); ++vs) {

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -88,23 +92,140 @@ TEST(BlockAllocator, FragmentationBlocksLargeAllocation) {
   EXPECT_GT(a.external_fragmentation(), 0.5);
 }
 
+namespace {
+
+// The arena's placement rule written the obvious way: first fit over a
+// std::map of free ranges (offset -> size), coalescing on free.
+class FirstFitModel {
+ public:
+  FirstFitModel(u::Bytes capacity, u::Bytes alignment)
+      : alignment_(alignment), free_{{0, capacity}} {}
+
+  std::optional<std::int64_t> allocate(u::Bytes bytes) {
+    const u::Bytes need = (bytes + alignment_ - 1) / alignment_ * alignment_;
+    for (auto it = free_.begin(); it != free_.end(); ++it) {
+      if (it->second < need) continue;
+      const auto [offset, size] = *it;
+      free_.erase(it);
+      if (size > need) free_[offset + need] = size - need;
+      used_ += need;
+      return offset;
+    }
+    return std::nullopt;
+  }
+
+  void free(std::int64_t offset, u::Bytes size) {
+    used_ -= size;
+    auto next = free_.lower_bound(offset);
+    if (next != free_.end() && offset + size == next->first) {
+      size += next->second;
+      next = free_.erase(next);
+    }
+    if (next != free_.begin() &&
+        std::prev(next)->first + std::prev(next)->second == offset) {
+      std::prev(next)->second += size;
+    } else {
+      free_[offset] = size;
+    }
+  }
+
+  std::size_t ranges() const { return free_.size(); }
+  u::Bytes used() const { return used_; }
+  u::Bytes largest() const {
+    u::Bytes largest = 0;
+    for (const auto& range : free_) largest = std::max(largest, range.second);
+    return largest;
+  }
+
+ private:
+  u::Bytes alignment_;
+  std::map<std::int64_t, u::Bytes> free_;
+  u::Bytes used_ = 0;
+};
+
+}  // namespace
+
+// Lockstep against FirstFitModel: every allocation lands at the model's
+// offset (or both fail), and the free-range count, largest free range and
+// used bytes agree after every operation — the arena's free list may
+// change how it stores ranges, never where a block goes.
 TEST(BlockAllocator, RandomStressPreservesInvariants) {
   u::Xoshiro256 rng(2024);
   hw::BlockAllocator a(u::mib(64), 512);
+  FirstFitModel model(u::mib(64), 512);
   std::vector<hw::Block> live;
-  for (int step = 0; step < 5000; ++step) {
-    const bool do_alloc = live.empty() || rng.uniform() < 0.55;
-    if (do_alloc) {
-      const auto bytes = static_cast<u::Bytes>(rng.uniform_int(65536) + 1);
-      auto b = a.allocate(bytes);
-      if (b) live.push_back(*b);
+
+  const auto matches_model = [&]() -> ::testing::AssertionResult {
+    if (a.free_ranges() != model.ranges() ||
+        a.largest_free_range() != model.largest() ||
+        a.used() != model.used()) {
+      return ::testing::AssertionFailure()
+             << "ranges " << a.free_ranges() << " vs " << model.ranges()
+             << ", largest " << a.largest_free_range() << " vs "
+             << model.largest() << ", used " << a.used() << " vs "
+             << model.used();
+    }
+    return ::testing::AssertionSuccess();
+  };
+  const auto allocate = [&](u::Bytes bytes) -> ::testing::AssertionResult {
+    const auto block = a.allocate(bytes);
+    const auto expected = model.allocate(bytes);
+    if (block.has_value() != expected.has_value() ||
+        (block && block->offset != *expected)) {
+      return ::testing::AssertionFailure()
+             << "allocate(" << bytes << ") at "
+             << (block ? block->offset : -1) << ", model at "
+             << (expected ? *expected : -1);
+    }
+    if (block) live.push_back(*block);
+    return matches_model();
+  };
+  const auto release = [&](std::size_t index) -> ::testing::AssertionResult {
+    const hw::Block block = live[index];
+    live[index] = live.back();
+    live.pop_back();
+    a.free(block);
+    model.free(block.offset, block.size);
+    return matches_model();
+  };
+  const auto random_ops = [&](int steps, std::uint64_t max_bytes) {
+    for (int step = 0; step < steps; ++step) {
+      auto result =
+          live.empty() || rng.uniform() < 0.55
+              ? allocate(static_cast<u::Bytes>(rng.uniform_int(max_bytes) + 1))
+              : release(rng.uniform_int(live.size()));
+      if (!result) return result << " (step " << step << ")";
+    }
+    return ::testing::AssertionSuccess();
+  };
+
+  ASSERT_TRUE(random_ops(5000, 65536));
+
+  // A packed run with every other block freed: hundreds of free ranges,
+  // so first fit scans deep and frees merge on both sides.
+  while (!live.empty()) ASSERT_TRUE(release(rng.uniform_int(live.size())));
+  ASSERT_EQ(a.free_ranges(), 1u);
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(allocate(static_cast<u::Bytes>(rng.uniform_int(8192) + 1)));
+  }
+  std::vector<hw::Block> run = live;
+  live.clear();
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    if (i % 2 == 0) {
+      a.free(run[i]);
+      model.free(run[i].offset, run[i].size);
     } else {
-      const auto idx = rng.uniform_int(live.size());
-      a.free(live[idx]);
-      live[idx] = live.back();
-      live.pop_back();
+      live.push_back(run[i]);
     }
   }
+  ASSERT_TRUE(matches_model());
+  EXPECT_EQ(a.free_ranges(), 301u);  // 300 holes + the tail
+  // Exact fit: the first hole is consumed whole and its range erased.
+  ASSERT_TRUE(allocate(run[0].size));
+  EXPECT_EQ(live.back().offset, run[0].offset);
+  EXPECT_EQ(a.free_ranges(), 300u);
+  ASSERT_TRUE(random_ops(3000, 16384));
+
   // No two live blocks overlap and used() is the sum of live sizes.
   std::set<std::pair<std::int64_t, std::int64_t>> ranges;
   u::Bytes total = 0;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -221,6 +222,34 @@ TEST(ProgramSerdes, RejectsMalformedBuffers) {
   EXPECT_FALSE(
       rt::deserialize_program(bytes, key.text + "-other", out, &error));
   EXPECT_NE(error.find("key"), std::string::npos) << error;
+
+  // Well-formed but unrecordable programs (valid checksum and indices).
+  rt::StepProgram decoded;
+  ASSERT_TRUE(rt::deserialize_program(bytes, key.text, decoded, &error))
+      << error;
+  // A kernel gated on an activation allocated since the last kernel or
+  // comm: that activation's producer is the kernel itself.
+  rt::StepProgram self_gated = decoded;
+  const auto alloc = std::find_if(
+      self_gated.ops.begin(), self_gated.ops.end(), [](const auto& op) {
+        return op.kind == rt::StepProgram::OpKind::alloc_activation;
+      });
+  ASSERT_NE(alloc, self_gated.ops.end());
+  rt::StepProgram::Op gated;
+  gated.kind = rt::StepProgram::OpKind::kernel;
+  gated.a = static_cast<std::uint32_t>(self_gated.aux.size());
+  gated.count = 1;
+  self_gated.aux.push_back(alloc->a);
+  self_gated.ops.insert(alloc + 1, gated);
+  EXPECT_FALSE(rt::deserialize_program(
+      rt::serialize_program(self_gated, key.text), key.text, out, &error));
+  EXPECT_NE(error.find("kernel gated"), std::string::npos) << error;
+  // More value slots than ops: every slot is created by one op.
+  rt::StepProgram oversized = decoded;
+  oversized.slot_count = static_cast<std::uint32_t>(oversized.ops.size() + 1);
+  EXPECT_FALSE(rt::deserialize_program(
+      rt::serialize_program(oversized, key.text), key.text, out, &error));
+  EXPECT_NE(error.find("slot table"), std::string::npos) << error;
 }
 
 TEST(ProgramKey, SeparatesTraceShapingConfigurations) {

@@ -7,22 +7,17 @@
 // Each row reports step time (overhead vs the keep baseline) and the
 // activation memory peak, on BERT H12288 L3 B16 TP2.
 //
-// Every ablation variant is an independent sweep point, so the whole study
-// shards across worker threads (--workers N); --csv PATH dumps the rows.
+// Every ablation variant is an independent point of one sweep::BenchMain
+// batch grid (--workers N); --csv PATH dumps the rows.
 
 #include <functional>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "ssdtrain/modules/model.hpp"
-#include "ssdtrain/runtime/program_cache.hpp"
 #include "ssdtrain/runtime/session.hpp"
-#include "ssdtrain/sweep/cli.hpp"
-#include "ssdtrain/sweep/runner.hpp"
-#include "ssdtrain/util/check.hpp"
-#include "ssdtrain/util/csv.hpp"
+#include "ssdtrain/sweep/bench_main.hpp"
 #include "ssdtrain/util/table.hpp"
 #include "ssdtrain/util/units.hpp"
 
@@ -33,23 +28,14 @@ namespace u = ssdtrain::util;
 
 namespace {
 
-// --no-replay forces the legacy trace-every-step path (A/B switch).
-bool g_use_replay = true;
-// --pp/--tp/--dp/--zero override each measured session's parallelism.
-sweep::CliOptions g_cli;
-// Shared program cache: repeated-config points skip their trace step, and
-// --program-cache DIR extends the sharing to sibling shard processes
-// (--no-program-cache disables it for cold-trace A/B runs).
-std::unique_ptr<rt::ProgramCache> g_program_cache;
-
-rt::SessionConfig base() {
+// The variants below change only knobs configure() leaves alone, so it can
+// run here, before them.
+rt::SessionConfig base(const sweep::BenchMain& bench) {
   rt::SessionConfig config;
-  config.use_replay = g_use_replay;
   config.model = m::bert_config(12288, 3, 16);
   config.parallel.tensor_parallel = 2;
-  g_cli.apply_parallel(config.parallel);
-  config.program_cache = g_program_cache.get();
   config.strategy = rt::Strategy::ssdtrain;
+  bench.configure(config);
   return config;
 }
 
@@ -59,8 +45,8 @@ rt::SessionConfig base() {
 // variant: a 2-SSD array (12.2 GB/s, right at the demanded write rate)
 // and host DRAM at 20 GB/s effectively available to staging (the paper's
 // §I argument about shared host-memory bandwidth).
-rt::SessionConfig constrained() {
-  auto config = base();
+rt::SessionConfig constrained(const sweep::BenchMain& bench) {
+  auto config = base(bench);
   config.node.arrays[1].resize(2);
   config.node.dram_bandwidth = ssdtrain::util::gbps(20);
   return config;
@@ -70,6 +56,8 @@ rt::SessionConfig constrained() {
 struct Variant {
   std::string name;
   std::function<rt::SessionConfig()> make;
+
+  [[nodiscard]] const std::string& label() const { return name; }
 };
 
 rt::StepStats run_variant(const Variant& v) {
@@ -81,13 +69,7 @@ rt::StepStats run_variant(const Variant& v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = sweep::parse_cli(argc, argv);
-  g_use_replay = !options.no_replay;
-  g_cli = options;
-  if (g_cli.program_cache_enabled()) {
-    g_program_cache = std::make_unique<rt::ProgramCache>(
-        rt::ProgramCacheConfig{g_cli.program_cache_dir});
-  }
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::batch);
 
   std::vector<Variant> variants;
   auto add = [&variants](std::string name,
@@ -97,21 +79,22 @@ int main(int argc, char** argv) {
     return index;
   };
 
-  const auto keep_idx = add("keep-everything", [] {
-    auto config = base();
+  const auto keep_idx = add("keep-everything", [&bench] {
+    auto config = base(bench);
     config.strategy = rt::Strategy::keep_in_gpu;
     return config;
   });
-  const auto reference_idx = add("ssdtrain-default", [] { return base(); });
+  const auto reference_idx =
+      add("ssdtrain-default", [&bench] { return base(bench); });
   const std::vector<double> fractions = {0.25, 0.5, 0.75, 1.0};
   std::vector<std::size_t> budget_idx;
   for (double fraction : fractions) {
     budget_idx.push_back(add("budget-" + u::format_percent(fraction, 0),
-                             [fraction] {
-                               auto config = base();
+                             [&bench, fraction] {
+                               auto config = base(bench);
                                // Probe the adaptive planner's own amount,
                                // then override with a fraction of it.
-                               rt::TrainingSession probe(base());
+                               rt::TrainingSession probe(base(bench));
                                config.budget_override = static_cast<u::Bytes>(
                                    static_cast<double>(
                                        probe.plan()->offload_budget) *
@@ -120,14 +103,14 @@ int main(int argc, char** argv) {
                              }));
   }
   const auto constrained_idx =
-      add("constrained-default", [] { return constrained(); });
-  const auto no_forwarding_idx = add("forwarding-off", [] {
-    auto config = constrained();
+      add("constrained-default", [&bench] { return constrained(bench); });
+  const auto no_forwarding_idx = add("forwarding-off", [&bench] {
+    auto config = constrained(bench);
     config.forwarding = false;
     return config;
   });
-  const auto no_gds_idx = add("gds-off", [] {
-    auto config = constrained();
+  const auto no_gds_idx = add("gds-off", [&bench] {
+    auto config = constrained(bench);
     config.use_gds = false;
     return config;
   });
@@ -135,36 +118,29 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> prefetch_idx;
   for (int depth : depths) {
     prefetch_idx.push_back(
-        add("prefetch-" + std::to_string(depth), [depth] {
-          auto config = constrained();
+        add("prefetch-" + std::to_string(depth), [&bench, depth] {
+          auto config = constrained(bench);
           config.prefetch_lookahead = depth;
           return config;
         }));
   }
-  const auto no_hook_idx = add("malloc-hook-off", [] {
-    auto config = base();
+  const auto no_hook_idx = add("malloc-hook-off", [&bench] {
+    auto config = base(bench);
     config.install_malloc_hook = false;
     return config;
   });
 
-  sweep::SweepRunner runner(options.workers);
-  const auto outcomes = runner.map(variants, run_variant, options.map_options());
   // Every variant feeds the relative tables below, so any hole ends the
   // run — nonzero after reporting every failure, not an abort on the first.
-  int failed = 0;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (outcomes[i].ok()) continue;
-    std::cerr << variants[i].name << " failed: " << outcomes[i].error << "\n";
-    ++failed;
-  }
-  if (failed != 0) return 1;
+  const auto steps = bench.run(variants, run_variant);
+  if (!steps) return 1;
 
   std::cout << "=== SSDTrain ablations (BERT H12288 L3, B=16, TP2) ===\n\n";
 
-  const rt::StepStats& keep = outcomes[keep_idx].get();
-  const rt::StepStats& reference = outcomes[reference_idx].get();
+  const rt::StepStats& keep = (*steps)[keep_idx];
+  const rt::StepStats& reference = (*steps)[reference_idx];
   const rt::StepStats& constrained_reference =
-      outcomes[constrained_idx].get();
+      (*steps)[constrained_idx];
 
   auto row = [&](u::AsciiTable& table, const std::string& label,
                  const rt::StepStats& s) {
@@ -182,7 +158,7 @@ int main(int argc, char** argv) {
     row(table, "keep-everything (0%)", keep);
     for (std::size_t i = 0; i < fractions.size(); ++i) {
       row(table, u::format_percent(fractions[i], 0),
-          outcomes[budget_idx[i]].get());
+          (*steps)[budget_idx[i]]);
     }
     std::cout << table.render() << "\n";
   }
@@ -199,7 +175,7 @@ int main(int argc, char** argv) {
            std::to_string(s.cache.miss_loads)});
     };
     fwd_row("on (default)", constrained_reference);
-    fwd_row("off", outcomes[no_forwarding_idx].get());
+    fwd_row("off", (*steps)[no_forwarding_idx]);
     std::cout << table.render();
     std::cout << "(Forwarding converts in-flight-store reads into free "
                  "in-memory references;\nwithout it every such access "
@@ -211,7 +187,7 @@ int main(int argc, char** argv) {
     u::AsciiTable table(
         {"path", "step time", "overhead", "act peak", "offloaded"});
     row(table, "GDS direct (default)", constrained_reference);
-    row(table, "bounce via host DRAM", outcomes[no_gds_idx].get());
+    row(table, "bounce via host DRAM", (*steps)[no_gds_idx]);
     std::cout << table.render() << "\n";
   }
 
@@ -220,7 +196,7 @@ int main(int argc, char** argv) {
     u::AsciiTable table(
         {"lookahead", "step time", "overhead", "act peak", "offloaded"});
     for (std::size_t i = 0; i < depths.size(); ++i) {
-      row(table, std::to_string(depths[i]), outcomes[prefetch_idx[i]].get());
+      row(table, std::to_string(depths[i]), (*steps)[prefetch_idx[i]]);
     }
     std::cout << table.render() << "\n";
     std::cout << "(The paper notes any prefetching scheme works as long as "
@@ -233,27 +209,26 @@ int main(int argc, char** argv) {
     u::AsciiTable table(
         {"hook", "step time", "overhead", "act peak", "offloaded"});
     row(table, "installed (default)", reference);
-    row(table, "absent (register per I/O)", outcomes[no_hook_idx].get());
+    row(table, "absent (register per I/O)", (*steps)[no_hook_idx]);
     std::cout << table.render();
     std::cout << "(Per-I/O registration costs ~50 us on ~50 transfers per "
                  "step: invisible at\nthis tensor granularity; the hook "
                  "matters for small-transfer workloads.)\n\n";
   }
 
-  if (options.csv_enabled()) {
-    u::CsvWriter csv(options.csv_path,
-                     {"variant", "step_time_s", "overhead_vs_keep",
-                      "activation_peak_bytes", "offloaded_bytes",
-                      "forwards", "miss_loads"});
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      const rt::StepStats& s = outcomes[i].get();
-      csv.add_row({variants[i].name, u::format_fixed(s.step_time, 9),
-                   u::format_fixed(s.step_time / keep.step_time - 1.0, 6),
-                   std::to_string(s.activation_peak),
-                   std::to_string(s.offloaded_bytes),
-                   std::to_string(s.cache.forwards),
-                   std::to_string(s.cache.miss_loads)});
-    }
+  std::vector<sweep::Cells> rows;
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const rt::StepStats& s = (*steps)[i];
+    rows.push_back({variants[i].name, u::format_fixed(s.step_time, 9),
+                    u::format_fixed(s.step_time / keep.step_time - 1.0, 6),
+                    std::to_string(s.activation_peak),
+                    std::to_string(s.offloaded_bytes),
+                    std::to_string(s.cache.forwards),
+                    std::to_string(s.cache.miss_loads)});
   }
+  bench.write_csv({"variant", "step_time_s", "overhead_vs_keep",
+                   "activation_peak_bytes", "offloaded_bytes", "forwards",
+                   "miss_loads"},
+                  rows);
   return 0;
 }

@@ -26,19 +26,15 @@
 #include <cmath>
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "ssdtrain/ckpt/policy.hpp"
 #include "ssdtrain/fault/fault.hpp"
 #include "ssdtrain/modules/model.hpp"
-#include "ssdtrain/runtime/program_cache.hpp"
 #include "ssdtrain/runtime/session.hpp"
-#include "ssdtrain/sweep/cli.hpp"
-#include "ssdtrain/sweep/runner.hpp"
-#include "ssdtrain/sweep/spec.hpp"
-#include "ssdtrain/util/csv.hpp"
+#include "ssdtrain/sweep/bench_main.hpp"
+#include "ssdtrain/util/check.hpp"
 #include "ssdtrain/util/table.hpp"
 #include "ssdtrain/util/units.hpp"
 
@@ -51,8 +47,6 @@ namespace u = ssdtrain::util;
 
 namespace {
 
-sweep::CliOptions g_cli;
-std::unique_ptr<rt::ProgramCache> g_program_cache;
 /// Simulated horizon per cell, in MTBFs: long enough that the crash phases
 /// equidistribute and the goodput landscape is the curve, not one lucky
 /// crash placement.
@@ -77,33 +71,25 @@ struct CheckpointPoint {
   std::uint64_t ckpt_bytes = 0;
 };
 
-rt::SessionConfig make_config(int interval_steps) {
+rt::SessionConfig make_config(const sweep::BenchMain& bench,
+                              int interval_steps) {
   rt::SessionConfig config;
-  config.use_replay = !g_cli.no_replay;
   config.model = m::bert_config(2048, 2, 4);
   config.parallel.tensor_parallel = 2;
-  g_cli.apply_parallel(config.parallel);
-  config.program_cache = g_program_cache.get();
   config.strategy = rt::Strategy::ssdtrain;
   config.micro_batches = 2;
-  if (g_cli.faults_enabled()) {
-    config.faults = g_cli.fault_config();
-  } else {
-    // Inert arming spec: the injector must exist for trigger(), and an
-    // injector-armed no-window run is byte-identical to an unarmed one.
-    f::FaultSpec arm;
-    arm.kind = f::FaultKind::ssd_latency;
-    arm.latency = 1e-9;
-    arm.at = 0.0;
-    arm.duration = 1e-9;
-    config.faults.specs = {arm};
-    config.faults.seed = g_cli.fault_seed != 0 ? g_cli.fault_seed : 7;
-  }
-  if (g_cli.checkpoint_enabled()) {
-    config.checkpoint = g_cli.checkpoint_policy();
-  } else {
-    config.checkpoint.every_steps = interval_steps;
-  }
+  // Inert arming spec (--faults replaces it): the injector must exist for
+  // trigger(), and an injector-armed no-window run is byte-identical to an
+  // unarmed one.
+  f::FaultSpec arm;
+  arm.kind = f::FaultKind::ssd_latency;
+  arm.latency = 1e-9;
+  arm.at = 0.0;
+  arm.duration = 1e-9;
+  config.faults.specs = {arm};
+  config.faults.seed = 7;
+  config.checkpoint.every_steps = interval_steps;
+  bench.configure(config);
   return config;
 }
 
@@ -111,8 +97,9 @@ rt::SessionConfig make_config(int interval_steps) {
 /// until the simulated horizon. Crashes must go through trigger() at step
 /// boundaries — a future `at` in a FaultSpec would fire during the first
 /// step's queue drain (the simulator time-jumps through idle gaps).
-CheckpointPoint measure_cell(int interval, double mtbf) {
-  rt::TrainingSession session(make_config(interval));
+CheckpointPoint measure_cell(const sweep::BenchMain& bench, int interval,
+                             double mtbf) {
+  rt::TrainingSession session(make_config(bench, interval));
 
   f::FaultSpec crash;
   crash.kind = f::FaultKind::stage_crash;
@@ -153,18 +140,16 @@ CheckpointPoint measure_cell(int interval, double mtbf) {
   return r;
 }
 
-CheckpointPoint measure(const sweep::SweepPoint& point) {
-  return measure_cell(static_cast<int>(point.i64("interval")),
-                      point.f64("mtbf"));
-}
-
 /// Acceptance mode: the measured goodput-optimal interval must match the
 /// Young-Daly closed form within 15%. The MTBF is derived from a probe so
 /// T_opt sits a known number of steps wide regardless of model or machine
 /// constants, and the interval grid brackets it with off-optimum points
 /// coarse enough (0.5x / 0.75x / 1.75x / 3x) that the ranking is decided
 /// by the goodput curve, not crash-phase noise.
-int run_verify() {
+int run_verify(sweep::BenchMain& bench) {
+  const sweep::CliOptions& cli = bench.cli();
+  u::expects(!cli.csv_enabled() && !cli.points_enabled() && !cli.sharded(),
+             "verify takes no grid flags (--csv, --points, --shard)");
   std::cout << "=== Checkpoint interval verification against Young-Daly "
                "T_opt = sqrt(2*C*MTBF) ===\n\n";
 
@@ -172,7 +157,7 @@ int run_verify() {
   double probe_step = 0.0;
   double probe_cost = 0.0;
   {
-    rt::TrainingSession probe(make_config(1));
+    rt::TrainingSession probe(make_config(bench, 1));
     probe.run_step();  // trace + first commit; not steady state
     for (int i = 0; i < 3; ++i) {
       const rt::StepStats stats = probe.run_step();
@@ -204,14 +189,19 @@ int run_verify() {
   }
 
   g_horizon_mtbfs = 25.0;  // ~25 crashes per cell: phases equidistribute
+  const auto cells = bench.run(intervals, [&bench, mtbf](int interval) {
+    return measure_cell(bench, interval, mtbf);
+  });
+  if (!cells) return 1;
   u::AsciiTable table({"interval", "interval s", "goodput", "ckpts",
                        "crashes", "lost", "yd T_opt"});
   double best_goodput = -1.0;
   int best_interval = 0;
   double best_interval_s = 0.0;
   double best_yd = 0.0;
-  for (const int interval : intervals) {
-    const CheckpointPoint r = measure_cell(interval, mtbf);
+  for (std::size_t i = 0; i < intervals.size(); ++i) {
+    const int interval = intervals[i];
+    const CheckpointPoint& r = (*cells)[i];
     table.add_row({std::to_string(interval), u::format_time(r.interval_s),
                    u::format_fixed(r.goodput, 4),
                    std::to_string(r.checkpoints), std::to_string(r.crashes),
@@ -242,20 +232,12 @@ int run_verify() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = sweep::parse_cli(argc, argv);
-  if (g_cli.program_cache_enabled()) {
-    g_program_cache = std::make_unique<rt::ProgramCache>(
-        rt::ProgramCacheConfig{g_cli.program_cache_dir});
-  }
-  const bool smoke =
-      !g_cli.positional.empty() && g_cli.positional[0] == "smoke";
-  if (!g_cli.positional.empty() && g_cli.positional[0] == "verify") {
-    return run_verify();
-  }
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::streamed);
+  if (bench.mode("verify")) return run_verify(bench);
 
   std::vector<std::int64_t> intervals = {2, 4, 8, 16};
   std::vector<double> mtbfs = {2.0, 6.0};
-  if (smoke) {
+  if (bench.mode("smoke")) {
     intervals = {2};
     mtbfs = {1.2};
     g_horizon_mtbfs = 5.0;
@@ -267,25 +249,38 @@ int main(int argc, char** argv) {
   sweep::SweepSpec spec;
   spec.axis("interval", intervals).axis("mtbf", mtbfs);
 
-  sweep::SweepRunner runner(g_cli.workers);
-  const auto points = sweep::select_points(spec, g_cli);
-  const auto outcomes = runner.map(points, measure, g_cli.map_options());
-
-  int failed = 0;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (outcomes[i].ok()) continue;
-    std::cerr << points[i].label() << " failed: " << outcomes[i].error << "\n";
-    ++failed;
-  }
-  if (failed != 0) return 1;
+  const auto done = bench.stream(
+      spec,
+      {"interval_steps", "mtbf_s", "steps", "plain_step_s", "ckpt_cost_s",
+       "yd_interval_s", "interval_s", "goodput", "useful_s", "checkpoint_s",
+       "restore_s", "lost_s", "wall_s", "checkpoints", "crashes",
+       "rollback_steps", "ckpt_bytes"},
+      [&bench](const sweep::SweepPoint& p) {
+        return measure_cell(bench, static_cast<int>(p.i64("interval")),
+                            p.f64("mtbf"));
+      },
+      [](const CheckpointPoint& r) -> sweep::Cells {
+        return {std::to_string(r.steps_run), u::format_fixed(r.plain_step, 9),
+                u::format_fixed(r.ckpt_cost, 9),
+                u::format_fixed(r.yd_interval, 9),
+                u::format_fixed(r.interval_s, 9), u::format_fixed(r.goodput, 6),
+                u::format_fixed(r.useful, 9), u::format_fixed(r.ckpt_time, 9),
+                u::format_fixed(r.restore_time, 9), u::format_fixed(r.lost, 9),
+                u::format_fixed(r.wall, 9), std::to_string(r.checkpoints),
+                std::to_string(r.crashes), std::to_string(r.rollback_steps),
+                std::to_string(r.ckpt_bytes)};
+      },
+      [](const sweep::SweepPoint& p) -> sweep::Cells {
+        return {std::to_string(p.i64("interval")),
+                u::format_fixed(p.f64("mtbf"), 3)};
+      });
 
   u::AsciiTable table({"interval", "mtbf", "steps", "ckpt cost", "yd T_opt",
                        "goodput", "ckpts", "crashes", "rolled back",
                        "lost"});
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const CheckpointPoint& r = outcomes[i].get();
-    table.add_row({std::to_string(points[i].i64("interval")),
-                   u::format_time(points[i].f64("mtbf")),
+  for (const auto& [point, r] : done) {
+    table.add_row({std::to_string(point.i64("interval")),
+                   u::format_time(point.f64("mtbf")),
                    std::to_string(r.steps_run), u::format_time(r.ckpt_cost),
                    u::format_time(r.yd_interval),
                    u::format_fixed(r.goodput, 4),
@@ -302,12 +297,10 @@ int main(int argc, char** argv) {
     std::int64_t best_interval = 0;
     double best_yd = 0.0;
     double best_step = 0.0;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (points[i].f64("mtbf") != mtbf || !outcomes[i].ok()) continue;
-      const CheckpointPoint& r = outcomes[i].get();
-      if (r.goodput > best_goodput) {
+    for (const auto& [point, r] : done) {
+      if (point.f64("mtbf") == mtbf && r.goodput > best_goodput) {
         best_goodput = r.goodput;
-        best_interval = points[i].i64("interval");
+        best_interval = point.i64("interval");
         best_yd = r.yd_interval;
         best_step = r.plain_step;
       }
@@ -323,32 +316,5 @@ int main(int argc, char** argv) {
                "frontier reproduces bit-for-bit; `verify` gates the peak "
                "against sqrt(2*C*MTBF).\n";
 
-  if (g_cli.csv_enabled()) {
-    u::CsvWriter csv(g_cli.csv_path,
-                     {"interval_steps", "mtbf_s", "steps", "plain_step_s",
-                      "ckpt_cost_s", "yd_interval_s", "interval_s",
-                      "goodput", "useful_s", "checkpoint_s", "restore_s",
-                      "lost_s", "wall_s", "checkpoints", "crashes",
-                      "rollback_steps", "ckpt_bytes"});
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const CheckpointPoint& r = outcomes[i].get();
-      csv.add_row({std::to_string(points[i].i64("interval")),
-                   u::format_fixed(points[i].f64("mtbf"), 3),
-                   std::to_string(r.steps_run),
-                   u::format_fixed(r.plain_step, 9),
-                   u::format_fixed(r.ckpt_cost, 9),
-                   u::format_fixed(r.yd_interval, 9),
-                   u::format_fixed(r.interval_s, 9),
-                   u::format_fixed(r.goodput, 6),
-                   u::format_fixed(r.useful, 9),
-                   u::format_fixed(r.ckpt_time, 9),
-                   u::format_fixed(r.restore_time, 9),
-                   u::format_fixed(r.lost, 9), u::format_fixed(r.wall, 9),
-                   std::to_string(r.checkpoints),
-                   std::to_string(r.crashes),
-                   std::to_string(r.rollback_steps),
-                   std::to_string(r.ckpt_bytes)});
-    }
-  }
-  return 0;
+  return bench.exit_code();
 }

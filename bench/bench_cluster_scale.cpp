@@ -13,23 +13,13 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
 #include "ssdtrain/modules/model.hpp"
 #include "ssdtrain/runtime/cluster_session.hpp"
-#include "ssdtrain/runtime/program_cache.hpp"
 #include "ssdtrain/sched/schedule.hpp"
-#include "ssdtrain/sweep/chaos_exec.hpp"
-#include "ssdtrain/sweep/cli.hpp"
-#include "ssdtrain/sweep/progress.hpp"
-#include "ssdtrain/sweep/resume.hpp"
-#include "ssdtrain/sweep/runner.hpp"
-#include "ssdtrain/sweep/spec.hpp"
-#include "ssdtrain/util/check.hpp"
-#include "ssdtrain/util/csv.hpp"
+#include "ssdtrain/sweep/bench_main.hpp"
 #include "ssdtrain/util/label.hpp"
 #include "ssdtrain/util/table.hpp"
 #include "ssdtrain/util/units.hpp"
@@ -42,14 +32,6 @@ namespace u = ssdtrain::util;
 
 namespace {
 
-// --no-replay forces the legacy trace-every-step path (A/B switch).
-bool g_use_replay = true;
-// --pp/--tp/--dp/--zero override each measured session's parallelism.
-sweep::CliOptions g_cli;
-// Shared program cache: repeated-config points skip their trace step, and
-// --program-cache DIR extends the sharing to sibling shard processes
-// (--no-program-cache disables it for cold-trace A/B runs).
-std::unique_ptr<rt::ProgramCache> g_program_cache;
 int g_measure_steps = 4;
 
 struct ScalePoint {
@@ -58,11 +40,11 @@ struct ScalePoint {
   rt::ClusterStepStats stats;  ///< last measured step (deterministic)
 };
 
-ScalePoint measure(const sweep::SweepPoint& point) {
+ScalePoint measure(const sweep::BenchMain& bench,
+                   const sweep::SweepPoint& point) {
   const int pp = static_cast<int>(point.i64("pp"));
 
   rt::ClusterConfig config;
-  config.use_replay = g_use_replay;
   // Weak scaling: 2 layers and 2 micro-batches per stage keep per-GPU work
   // constant as the pipeline deepens.
   config.model = m::bert_config(2048, 2 * pp, 4);
@@ -70,12 +52,10 @@ ScalePoint measure(const sweep::SweepPoint& point) {
   config.parallel.pipeline_parallel = pp;
   config.parallel.data_parallel = 2;
   config.parallel.zero = ssdtrain::parallel::ZeroStage::stage2;
-  g_cli.apply_parallel(config.parallel);
-  config.program_cache = g_program_cache.get();
   config.strategy = rt::strategy_from(point.str("strategy"));
-  if (g_cli.faults_enabled()) config.faults = g_cli.fault_config();
   config.micro_batches = 2 * pp;
   config.schedule = sched::PipelineKind::one_f_one_b;
+  bench.configure(config);
   rt::ClusterSession session(std::move(config));
 
   // Step 1 traces and records every stage's program; the timed window then
@@ -95,19 +75,11 @@ ScalePoint measure(const sweep::SweepPoint& point) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = sweep::parse_cli(argc, argv);
-  g_use_replay = !options.no_replay;
-  g_cli = options;
-  if (g_cli.program_cache_enabled()) {
-    g_program_cache = std::make_unique<rt::ProgramCache>(
-        rt::ProgramCacheConfig{g_cli.program_cache_dir});
-  }
-  const bool smoke =
-      !options.positional.empty() && options.positional[0] == "smoke";
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::streamed);
 
   std::vector<std::int64_t> depths = {1, 2, 4};
   std::vector<std::string> strategies = {"keep-in-gpu", "ssdtrain"};
-  if (smoke) {
+  if (bench.mode("smoke")) {
     depths = {1, 2};
     g_measure_steps = 1;
   }
@@ -118,68 +90,23 @@ int main(int argc, char** argv) {
   sweep::SweepSpec spec;
   spec.axis("pp", depths).axis("strategy", strategies);
 
-  std::vector<sweep::SweepPoint> points = sweep::select_points(spec, options);
+  const auto done = bench.stream(
+      spec,
+      {"pp", "strategy", "step_time_s", "pipeline_time_s", "measured_bubble",
+       "p2p_bytes", "dp_bytes"},
+      [&bench](const sweep::SweepPoint& p) { return measure(bench, p); },
+      [](const ScalePoint& r) -> sweep::Cells {
+        return {u::format_fixed(r.stats.combined.step_time, 9),
+                u::format_fixed(r.stats.pipeline_time, 9),
+                u::format_fixed(r.stats.measured_bubble, 6),
+                std::to_string(r.stats.p2p_bytes),
+                std::to_string(r.stats.dp_bytes)};
+      });
 
-  // Resumable + streamed CSV (see bench_moe_offload): completed cells are
-  // skipped on relaunch, and each new row is flushed in canonical order so
-  // the row count is the orchestrator's progress heartbeat.
-  if (options.csv_enabled()) {
-    const sweep::CsvResume resume(options.csv_path,
-                                  std::vector<std::string>{"pp", "strategy"});
-    const std::size_t before = points.size();
-    points = resume.remaining(std::move(points));
-    if (resume.resuming()) {
-      std::cout << "resuming: " << before - points.size() << "/" << before
-                << " grid cells already in " << options.csv_path;
-      if (resume.repaired_tail()) std::cout << " (repaired a torn tail)";
-      std::cout << "\n";
-    }
-  }
-  std::unique_ptr<sweep::CsvProgress> progress;
-  if (options.csv_enabled()) {
-    progress = std::make_unique<sweep::CsvProgress>(
-        options.csv_path,
-        std::vector<std::string>{"pp", "strategy", "step_time_s",
-                                 "pipeline_time_s", "measured_bubble",
-                                 "p2p_bytes", "dp_bytes"},
-        sweep::ChaosExec::parse(options.chaos_exec));
-  }
-  const auto row_for = [](const sweep::SweepPoint& point,
-                          const ScalePoint& r) -> std::vector<std::string> {
-    return {std::to_string(point.i64("pp")),
-            point.str("strategy"),
-            u::format_fixed(r.stats.combined.step_time, 9),
-            u::format_fixed(r.stats.pipeline_time, 9),
-            u::format_fixed(r.stats.measured_bubble, 6),
-            std::to_string(r.stats.p2p_bytes),
-            std::to_string(r.stats.dp_bytes)};
-  };
-
-  std::vector<std::size_t> indices(points.size());
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
-  sweep::SweepRunner runner(options.workers);
-  const auto outcomes = runner.map(
-      indices,
-      [&](std::size_t i) {
-        ScalePoint r = measure(points[i]);
-        if (progress) progress->commit(i, row_for(points[i], r));
-        return r;
-      },
-      options.map_options());
-
-  int failed = 0;
   u::AsciiTable table({"pipeline", "strategy", "steps/sec", "step time",
                        "measured bubble", "p2p traffic", "DP traffic"});
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!outcomes[i].ok()) {
-      std::cerr << points[i].label() << " failed: " << outcomes[i].error
-                << "\n";
-      ++failed;
-      continue;
-    }
-    const ScalePoint& r = outcomes[i].get();
-    table.add_row({u::label("PP", points[i].i64("pp")),
-                   points[i].str("strategy"),
+  for (const auto& [point, r] : done) {
+    table.add_row({u::label("PP", point.i64("pp")), point.str("strategy"),
                    u::format_fixed(r.steps / r.seconds, 1),
                    u::format_time(r.stats.combined.step_time),
                    u::format_percent(r.stats.measured_bubble),
@@ -191,5 +118,5 @@ int main(int argc, char** argv) {
                "simulated and\ndeterministic — the regression golden gates "
                "it within 2%.\n";
 
-  return failed == 0 ? 0 : 1;
+  return bench.exit_code();
 }

@@ -6,18 +6,15 @@
 // Expected shape (paper): memory capacity grows at ~41% the rate of compute
 // throughput; LLM size growth is aligned with compute throughput growth.
 //
-// The three series fits run through the SweepRunner (--workers N);
-// --csv PATH dumps every data point with its series' fit.
+// The three series fits run through sweep::BenchMain as an analytic grid
+// (--workers N); --csv PATH dumps every data point with its series' fit.
 
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "ssdtrain/analysis/trends.hpp"
-#include "ssdtrain/sweep/cli.hpp"
-#include "ssdtrain/sweep/runner.hpp"
-#include "ssdtrain/util/check.hpp"
-#include "ssdtrain/util/csv.hpp"
+#include "ssdtrain/sweep/bench_main.hpp"
 #include "ssdtrain/util/table.hpp"
 #include "ssdtrain/util/units.hpp"
 
@@ -56,7 +53,7 @@ void print_series(const Series& series, const SeriesResult& result) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = sweep::parse_cli(argc, argv);
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::analytic);
 
   const std::vector<Series> series = {
       {a::TrendSeries::gpu_fp16_throughput, "GPU/TPU FP16 throughput",
@@ -66,22 +63,15 @@ int main(int argc, char** argv) {
       {a::TrendSeries::llm_size, "LLM model size", "parameters"},
   };
 
-  sweep::SweepRunner runner(options.workers);
-  const auto outcomes = runner.map(series, [](const Series& s) {
+  const auto fits = bench.run(series, [](const Series& s) {
     return SeriesResult{a::trend_points(s.series), a::fit_trend(s.series)};
-  }, options.map_options());
-  int failed = 0;
-  for (const auto& o : outcomes) {
-    if (o.ok()) continue;
-    std::cerr << "series fit failed: " << o.error << "\n";
-    ++failed;
-  }
-  if (failed != 0) return 1;
+  });
+  if (!fits) return 1;
 
   std::cout << "=== Fig. 1: scaling trends — compute vs memory vs LLM size "
                "===\n\n";
   for (std::size_t i = 0; i < series.size(); ++i) {
-    print_series(series[i], outcomes[i].get());
+    print_series(series[i], (*fits)[i]);
   }
 
   std::cout << "memory-capacity growth rate / compute growth rate : "
@@ -95,21 +85,20 @@ int main(int argc, char** argv) {
                "activations will increasingly dominate\nGPU memory "
                "(§II-B).\n";
 
-  if (options.csv_enabled()) {
-    u::CsvWriter csv(options.csv_path,
-                     {"series", "system", "release_year", "value",
-                      "growth_per_year", "doubling_years", "r2"});
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      const SeriesResult& r = outcomes[i].get();
-      for (const auto& point : r.points) {
-        csv.add_row({series[i].title, point.name,
-                     u::format_fixed(point.year, 1),
-                     u::format_fixed(point.value, 0),
-                     u::format_fixed(r.fit.growth_per_year, 6),
-                     u::format_fixed(r.fit.doubling_years, 6),
-                     u::format_fixed(r.fit.fit.r2, 6)});
-      }
+  std::vector<sweep::Cells> rows;
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    const SeriesResult& r = (*fits)[i];
+    for (const auto& point : r.points) {
+      rows.push_back({series[i].title, point.name,
+                      u::format_fixed(point.year, 1),
+                      u::format_fixed(point.value, 0),
+                      u::format_fixed(r.fit.growth_per_year, 6),
+                      u::format_fixed(r.fit.doubling_years, 6),
+                      u::format_fixed(r.fit.fit.r2, 6)});
     }
   }
+  bench.write_csv({"series", "system", "release_year", "value",
+                   "growth_per_year", "doubling_years", "r2"},
+                  rows);
   return 0;
 }

@@ -9,8 +9,8 @@
 // write bandwidth <= 12.1 GB/s and decreasing as each system scales up,
 // activations 0.4-1.8 TB/GPU per step.
 //
-// The scenario list runs through the SweepRunner (--workers N); --csv PATH
-// dumps the series.
+// The scenario list runs through sweep::BenchMain as an analytic grid
+// (--workers N); --csv PATH dumps the series.
 
 #include <algorithm>
 #include <iostream>
@@ -19,10 +19,7 @@
 
 #include "ssdtrain/analysis/lifespan.hpp"
 #include "ssdtrain/hw/catalog.hpp"
-#include "ssdtrain/sweep/cli.hpp"
-#include "ssdtrain/sweep/runner.hpp"
-#include "ssdtrain/util/check.hpp"
-#include "ssdtrain/util/csv.hpp"
+#include "ssdtrain/sweep/bench_main.hpp"
 #include "ssdtrain/util/table.hpp"
 #include "ssdtrain/util/units.hpp"
 
@@ -32,7 +29,7 @@ namespace sweep = ssdtrain::sweep;
 namespace u = ssdtrain::util;
 
 int main(int argc, char** argv) {
-  const auto options = sweep::parse_cli(argc, argv);
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::analytic);
 
   std::cout << "=== Fig. 5: SSD lifespan / write bandwidth / activation "
                "volume at scale ===\n"
@@ -45,18 +42,12 @@ int main(int argc, char** argv) {
   const auto gpu = hw::catalog::a100_sxm_80gb();
 
   const auto scenarios = a::fig5_scenarios();
-  sweep::SweepRunner runner(options.workers);
-  const auto outcomes =
-      runner.map(scenarios, [&gpu, &provisioning](const a::ClusterScenario& s) {
+  // By value: a timed-out point outlives this scope.
+  const auto projections =
+      bench.run(scenarios, [gpu, provisioning](const a::ClusterScenario& s) {
         return a::project_lifespan(s, gpu, provisioning);
-      }, options.map_options());
-  int failed = 0;
-  for (const auto& o : outcomes) {
-    if (o.ok()) continue;
-    std::cerr << "scenario failed: " << o.error << "\n";
-    ++failed;
-  }
-  if (failed != 0) return 1;
+      });
+  if (!projections) return 1;
 
   u::AsciiTable table({"framework & model", "# GPUs", "step time",
                        "write BW per GPU", "lifespan",
@@ -66,7 +57,7 @@ int main(int argc, char** argv) {
   std::string last_label;
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const auto& scenario = scenarios[i];
-    const auto& proj = outcomes[i].get();
+    const auto& proj = (*projections)[i];
     if (scenario.label != last_label && !last_label.empty()) {
       table.add_separator();
     }
@@ -88,20 +79,19 @@ int main(int argc, char** argv) {
   std::cout << "max write bandwidth : " << u::format_bandwidth(max_bw)
             << "   (paper: <= 12.1 GB/s)\n";
 
-  if (options.csv_enabled()) {
-    u::CsvWriter csv(options.csv_path,
-                     {"scenario", "gpus", "step_time_s",
-                      "write_bandwidth_per_gpu_bps", "lifespan_s",
-                      "activations_per_gpu_step_bytes"});
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      const auto& proj = outcomes[i].get();
-      csv.add_row({scenarios[i].label,
-                   std::to_string(scenarios[i].gpu_count),
-                   u::format_fixed(proj.step_time, 6),
-                   u::format_fixed(proj.write_bandwidth_per_gpu, 0),
-                   u::format_fixed(proj.lifespan, 0),
-                   std::to_string(proj.activations_per_gpu_step)});
-    }
+  std::vector<sweep::Cells> rows;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const auto& proj = (*projections)[i];
+    rows.push_back({scenarios[i].label,
+                    std::to_string(scenarios[i].gpu_count),
+                    u::format_fixed(proj.step_time, 6),
+                    u::format_fixed(proj.write_bandwidth_per_gpu, 0),
+                    u::format_fixed(proj.lifespan, 0),
+                    std::to_string(proj.activations_per_gpu_step)});
   }
+  bench.write_csv({"scenario", "gpus", "step_time_s",
+                   "write_bandwidth_per_gpu_bps", "lifespan_s",
+                   "activations_per_gpu_step_bytes"},
+                  rows);
   return 0;
 }

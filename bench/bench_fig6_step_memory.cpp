@@ -6,22 +6,17 @@
 // Expected shape (paper): SSDTrain step time within ~1% of the baseline in
 // every configuration (full overlap), activation peaks reduced by 28-47%.
 //
-// The 9 model configs x 2 strategies run as one sweep sharded across
-// worker threads (--workers N); --csv PATH dumps the series.
+// The 9 model configs x 2 strategies run as one sweep::BenchMain batch grid
+// (--workers N); --csv PATH dumps the series.
 
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "ssdtrain/modules/model.hpp"
-#include "ssdtrain/runtime/program_cache.hpp"
 #include "ssdtrain/runtime/session.hpp"
-#include "ssdtrain/sweep/cli.hpp"
-#include "ssdtrain/sweep/runner.hpp"
-#include "ssdtrain/util/check.hpp"
-#include "ssdtrain/util/csv.hpp"
+#include "ssdtrain/sweep/bench_main.hpp"
 #include "ssdtrain/util/label.hpp"
 #include "ssdtrain/util/table.hpp"
 #include "ssdtrain/util/units.hpp"
@@ -32,15 +27,6 @@ namespace sweep = ssdtrain::sweep;
 namespace u = ssdtrain::util;
 
 namespace {
-
-// --no-replay forces the legacy trace-every-step path (A/B switch).
-bool g_use_replay = true;
-// --pp/--tp/--dp/--zero override each measured session's parallelism.
-sweep::CliOptions g_cli;
-// Shared program cache: repeated-config points skip their trace step, and
-// --program-cache DIR extends the sharing to sibling shard processes
-// (--no-program-cache disables it for cold-trace A/B runs).
-std::unique_ptr<rt::ProgramCache> g_program_cache;
 
 using ConfigFactory = m::ModelConfig (*)(std::int64_t, int, std::int64_t);
 
@@ -59,14 +45,12 @@ struct Point {
   rt::Strategy strategy;
 };
 
-rt::StepStats measure(const Point& p) {
+rt::StepStats measure(const sweep::BenchMain& bench, const Point& p) {
   rt::SessionConfig config;
-  config.use_replay = g_use_replay;
   config.model = p.config.make(p.config.hidden, p.config.layers, 16);
   config.parallel.tensor_parallel = 2;
-  g_cli.apply_parallel(config.parallel);
-  config.program_cache = g_program_cache.get();
   config.strategy = p.strategy;
+  bench.configure(config);
   rt::TrainingSession session(std::move(config));
   session.run_step();  // warm-up
   return session.run_step();
@@ -75,13 +59,7 @@ rt::StepStats measure(const Point& p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = sweep::parse_cli(argc, argv);
-  g_use_replay = !options.no_replay;
-  g_cli = options;
-  if (g_cli.program_cache_enabled()) {
-    g_program_cache = std::make_unique<rt::ProgramCache>(
-        rt::ProgramCacheConfig{g_cli.program_cache_dir});
-  }
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::batch);
 
   const std::vector<Case> cases = {
       {&m::bert_config, 8192, 4},  {&m::bert_config, 12288, 3},
@@ -97,15 +75,9 @@ int main(int argc, char** argv) {
     grid.push_back({c, rt::Strategy::keep_in_gpu});
   }
 
-  sweep::SweepRunner runner(options.workers);
-  const auto outcomes = runner.map(grid, measure, options.map_options());
-  int failed = 0;
-  for (const auto& o : outcomes) {
-    if (o.ok()) continue;
-    std::cerr << "configuration failed: " << o.error << "\n";
-    ++failed;
-  }
-  if (failed != 0) return 1;
+  const auto steps = bench.run(
+      grid, [&bench](const Point& p) { return measure(bench, p); });
+  if (!steps) return 1;
 
   std::cout << "=== Fig. 6: SSDTrain vs no offloading "
                "(B=16, seq 1024, TP2, FP16+Flash) ===\n\n";
@@ -114,25 +86,26 @@ int main(int argc, char** argv) {
                        "step time (no offload)", "overhead",
                        "act peak (SSDTrain)", "act peak (no offload)",
                        "reduction"});
-  struct Row {
-    const Case* c;
-    double overhead, reduction;
-    const rt::StepStats* ssd;
-    const rt::StepStats* keep;
-  };
-  std::vector<Row> rows;
+  std::vector<sweep::Cells> rows;
   double worst_overhead = 0.0;
   double best_reduction = 0.0;
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    const rt::StepStats& ssd = outcomes[2 * i].get();
-    const rt::StepStats& keep = outcomes[2 * i + 1].get();
+    const rt::StepStats& ssd = (*steps)[2 * i];
+    const rt::StepStats& keep = (*steps)[2 * i + 1];
     const double overhead = ssd.step_time / keep.step_time - 1.0;
     const double reduction =
         1.0 - static_cast<double>(ssd.activation_peak) /
                   static_cast<double>(keep.activation_peak);
     worst_overhead = std::max(worst_overhead, overhead);
     best_reduction = std::max(best_reduction, reduction);
-    rows.push_back({&cases[i], overhead, reduction, &ssd, &keep});
+    rows.push_back({cases[i].model_name(), std::to_string(cases[i].hidden),
+                    std::to_string(cases[i].layers),
+                    u::format_fixed(ssd.step_time, 9),
+                    u::format_fixed(keep.step_time, 9),
+                    u::format_fixed(overhead, 6),
+                    std::to_string(ssd.activation_peak),
+                    std::to_string(keep.activation_peak),
+                    u::format_fixed(reduction, 6)});
     table.add_row({cases[i].model_name(),
                    u::label("H", cases[i].hidden) +
                        u::label(" L", cases[i].layers),
@@ -151,21 +124,9 @@ int main(int argc, char** argv) {
             << u::format_percent(best_reduction)
             << "   (paper: up to 47%)\n";
 
-  if (options.csv_enabled()) {
-    u::CsvWriter csv(options.csv_path,
-                     {"model", "hidden", "layers", "ssd_step_time_s",
-                      "keep_step_time_s", "overhead", "ssd_act_peak_bytes",
-                      "keep_act_peak_bytes", "reduction"});
-    for (const Row& r : rows) {
-      csv.add_row({r.c->model_name(),
-                   std::to_string(r.c->hidden), std::to_string(r.c->layers),
-                   u::format_fixed(r.ssd->step_time, 9),
-                   u::format_fixed(r.keep->step_time, 9),
-                   u::format_fixed(r.overhead, 6),
-                   std::to_string(r.ssd->activation_peak),
-                   std::to_string(r.keep->activation_peak),
-                   u::format_fixed(r.reduction, 6)});
-    }
-  }
+  bench.write_csv({"model", "hidden", "layers", "ssd_step_time_s",
+                   "keep_step_time_s", "overhead", "ssd_act_peak_bytes",
+                   "keep_act_peak_bytes", "reduction"},
+                  rows);
   return 0;
 }

@@ -8,12 +8,12 @@
 // axis, so SSDTrain reaches the highest throughput within any given memory
 // budget, roughly doubling the feasible batch size.
 //
-// The 24-point grid is declared as a SweepSpec and sharded across worker
-// threads (--workers N, default all cores); --csv PATH dumps the series.
+// The 24-point grid is declared as a SweepSpec and run as a
+// sweep::BenchMain batch grid (--workers N, default all cores); --csv PATH
+// dumps the series.
 
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <map>
 #include <string>
 #include <tuple>
@@ -21,13 +21,8 @@
 
 #include "ssdtrain/hw/device_allocator.hpp"
 #include "ssdtrain/modules/model.hpp"
-#include "ssdtrain/runtime/program_cache.hpp"
 #include "ssdtrain/runtime/session.hpp"
-#include "ssdtrain/sweep/cli.hpp"
-#include "ssdtrain/sweep/runner.hpp"
-#include "ssdtrain/sweep/spec.hpp"
-#include "ssdtrain/util/check.hpp"
-#include "ssdtrain/util/csv.hpp"
+#include "ssdtrain/sweep/bench_main.hpp"
 #include "ssdtrain/util/label.hpp"
 #include "ssdtrain/util/table.hpp"
 #include "ssdtrain/util/units.hpp"
@@ -40,15 +35,6 @@ namespace u = ssdtrain::util;
 
 namespace {
 
-// --no-replay forces the legacy trace-every-step path (A/B switch).
-bool g_use_replay = true;
-// --pp/--tp/--dp/--zero override each measured session's parallelism.
-sweep::CliOptions g_cli;
-// Shared program cache: repeated-config points skip their trace step, and
-// --program-cache DIR extends the sharing to sibling shard processes
-// (--no-program-cache disables it for cold-trace A/B runs).
-std::unique_ptr<rt::ProgramCache> g_program_cache;
-
 // The paper's three strategies plus the hybrid extension (checkpointing
 // whose checkpoints are offloaded): the minimum-memory corner.
 const std::vector<rt::Strategy> kStrategies = {
@@ -60,14 +46,13 @@ struct RokPoint {
   rt::StepStats stats;
 };
 
-RokPoint measure(const sweep::SweepPoint& point) {
+RokPoint measure(const sweep::BenchMain& bench,
+                 const sweep::SweepPoint& point) {
   rt::SessionConfig config;
-  config.use_replay = g_use_replay;
   config.model = m::bert_config(point.i64("hidden"), 3, point.i64("batch"));
   config.parallel.tensor_parallel = 2;
-  g_cli.apply_parallel(config.parallel);
-  config.program_cache = g_program_cache.get();
   config.strategy = rt::strategy_from(point.str("strategy"));
+  bench.configure(config);
   RokPoint result;
   try {
     rt::TrainingSession session(std::move(config));
@@ -137,13 +122,7 @@ void rok_curve(std::int64_t hidden, const RokResults& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = sweep::parse_cli(argc, argv);
-  g_use_replay = !options.no_replay;
-  g_cli = options;
-  if (g_cli.program_cache_enabled()) {
-    g_program_cache = std::make_unique<rt::ProgramCache>(
-        rt::ProgramCacheConfig{g_cli.program_cache_dir});
-  }
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::batch);
 
   std::vector<std::string> strategy_names;
   for (rt::Strategy s : kStrategies) {
@@ -154,45 +133,34 @@ int main(int argc, char** argv) {
       .axis("strategy", strategy_names)
       .axis("batch", std::vector<std::int64_t>{4, 8, 16});
 
-  sweep::SweepRunner runner(options.workers);
   const auto points = spec.points();
-  const auto outcomes = runner.map(points, measure, options.map_options());
-
-  int failed = 0;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (outcomes[i].ok()) continue;
-    std::cerr << points[i].label() << " failed: " << outcomes[i].error << "\n";
-    ++failed;
-  }
-  if (failed != 0) return 1;
+  const auto measured =
+      bench.run(points, [&bench](const sweep::SweepPoint& p) {
+        return measure(bench, p);
+      });
+  if (!measured) return 1;
 
   RokResults results;
+  std::vector<sweep::Cells> rows;
   for (std::size_t i = 0; i < points.size(); ++i) {
+    const RokPoint& r = (*measured)[i];
     results[{points[i].i64("hidden"), points[i].str("strategy"),
-             points[i].i64("batch")}] = outcomes[i].get();
+             points[i].i64("batch")}] = r;
+    rows.push_back({sweep::to_string(points[i].value("hidden")),
+                    points[i].str("strategy"),
+                    sweep::to_string(points[i].value("batch")),
+                    r.oom ? "1" : "0", std::to_string(r.stats.activation_peak),
+                    u::format_fixed(r.stats.model_throughput, 0),
+                    u::format_fixed(r.stats.step_time, 9)});
   }
 
   std::cout << "=== Fig. 7: recompute-offload-keep curves ===\n\n";
   rok_curve(12288, results);
   rok_curve(14336, results);
 
-  if (options.csv_enabled()) {
-    u::CsvWriter csv(options.csv_path,
-                     {"hidden", "strategy", "batch", "oom",
-                      "activation_peak_bytes", "model_throughput_flops",
-                      "step_time_s"});
-    for (const auto& point : points) {
-      const RokPoint& r = results.at({point.i64("hidden"),
-                                      point.str("strategy"),
-                                      point.i64("batch")});
-      csv.add_row({sweep::to_string(point.value("hidden")),
-                   point.str("strategy"),
-                   sweep::to_string(point.value("batch")),
-                   r.oom ? "1" : "0",
-                   std::to_string(r.stats.activation_peak),
-                   u::format_fixed(r.stats.model_throughput, 0),
-                   u::format_fixed(r.stats.step_time, 9)});
-    }
-  }
+  bench.write_csv({"hidden", "strategy", "batch", "oom",
+                   "activation_peak_bytes", "model_throughput_flops",
+                   "step_time_s"},
+                  rows);
   return 0;
 }

@@ -7,22 +7,16 @@
 // Expected shape (paper): total improvement grows with batch size up to
 // ~70-80% at B16, with the weight-update saving the dominant component.
 //
-// The batch-size axis is a SweepSpec sharded across worker threads
+// The batch-size axis is a SweepSpec run as a sweep::BenchMain batch grid
 // (--workers N); --csv PATH dumps the series.
 
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "ssdtrain/modules/model.hpp"
-#include "ssdtrain/runtime/program_cache.hpp"
 #include "ssdtrain/runtime/session.hpp"
-#include "ssdtrain/sweep/cli.hpp"
-#include "ssdtrain/sweep/runner.hpp"
-#include "ssdtrain/sweep/spec.hpp"
-#include "ssdtrain/util/check.hpp"
-#include "ssdtrain/util/csv.hpp"
+#include "ssdtrain/sweep/bench_main.hpp"
 #include "ssdtrain/util/label.hpp"
 #include "ssdtrain/util/table.hpp"
 #include "ssdtrain/util/units.hpp"
@@ -34,23 +28,13 @@ namespace u = ssdtrain::util;
 
 namespace {
 
-// --no-replay forces the legacy trace-every-step path (A/B switch).
-bool g_use_replay = true;
-// --pp/--tp/--dp/--zero override each measured session's parallelism.
-sweep::CliOptions g_cli;
-// Shared program cache: repeated-config points skip their trace step, and
-// --program-cache DIR extends the sharing to sibling shard processes
-// (--no-program-cache disables it for cold-trace A/B runs).
-std::unique_ptr<rt::ProgramCache> g_program_cache;
-
-rt::StepStats measure(const sweep::SweepPoint& point) {
+rt::StepStats measure(const sweep::BenchMain& bench,
+                      const sweep::SweepPoint& point) {
   rt::SessionConfig config;
-  config.use_replay = g_use_replay;
   config.model = m::bert_config(12288, 3, point.i64("batch"));
   config.parallel.tensor_parallel = 2;
-  g_cli.apply_parallel(config.parallel);
-  config.program_cache = g_program_cache.get();
   config.strategy = rt::Strategy::keep_in_gpu;
+  bench.configure(config);
   rt::TrainingSession session(std::move(config));
   session.run_step();
   return session.run_step();
@@ -59,46 +43,31 @@ rt::StepStats measure(const sweep::SweepPoint& point) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = sweep::parse_cli(argc, argv);
-  g_use_replay = !options.no_replay;
-  g_cli = options;
-  if (g_cli.program_cache_enabled()) {
-    g_program_cache = std::make_unique<rt::ProgramCache>(
-        rt::ProgramCacheConfig{g_cli.program_cache_dir});
-  }
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::batch);
 
   const std::vector<std::int64_t> batches = {1, 2, 4, 8, 16};
   sweep::SweepSpec spec;
   spec.axis("batch", batches);
 
-  sweep::SweepRunner runner(options.workers);
   const auto points = spec.points();
-  const auto outcomes = runner.map(points, measure, options.map_options());
-  int failed = 0;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (outcomes[i].ok()) continue;
-    std::cerr << points[i].label() << " failed: " << outcomes[i].error << "\n";
-    ++failed;
-  }
-  if (failed != 0) return 1;
+  const auto steps = bench.run(points, [&bench](const sweep::SweepPoint& p) {
+    return measure(bench, p);
+  });
+  if (!steps) return 1;
 
   std::cout << "=== Fig. 8(a): throughput boost of larger micro-batch size "
                "(BERT H12288 L3) ===\n\n";
 
-  const rt::StepStats& base = outcomes[0].get();  // batch axis starts at 1
+  const rt::StepStats& base = steps->front();  // batch axis starts at 1
   const double base_per_sample = base.step_time;  // one sample per step
   const double base_compute = base.step_time - base.optimizer_time;
 
-  struct Row {
-    std::int64_t batch;
-    double per_sample, total, update_saving, efficiency;
-  };
-  std::vector<Row> rows;
+  std::vector<sweep::Cells> rows;
   u::AsciiTable table({"batch", "per-sample time", "total improvement",
                        "weights update saving", "higher compute efficiency"});
   for (std::size_t i = 1; i < points.size(); ++i) {
     const std::int64_t batch = points[i].i64("batch");
-    const rt::StepStats& stats = outcomes[i].get();
+    const rt::StepStats& stats = (*steps)[i];
     const double per_sample =
         stats.step_time / static_cast<double>(batch);
     const double total = base_per_sample / per_sample - 1.0;
@@ -110,7 +79,10 @@ int main(int argc, char** argv) {
     const double update_saving =
         base_per_sample / update_only_per_sample - 1.0;
     const double efficiency = total - update_saving;
-    rows.push_back({batch, per_sample, total, update_saving, efficiency});
+    rows.push_back({std::to_string(batch), u::format_fixed(per_sample, 9),
+                    u::format_fixed(total, 6),
+                    u::format_fixed(update_saving, 6),
+                    u::format_fixed(efficiency, 6)});
     table.add_row({u::label("B", batch), u::format_time(per_sample),
                    u::format_percent(total), u::format_percent(update_saving),
                    u::format_percent(efficiency)});
@@ -122,16 +94,8 @@ int main(int argc, char** argv) {
   std::cout << "Paper shape: improvement grows monotonically, dominated by "
                "the weights-update saving.\n";
 
-  if (options.csv_enabled()) {
-    u::CsvWriter csv(options.csv_path,
-                     {"batch", "per_sample_time_s", "total_improvement",
-                      "weights_update_saving", "compute_efficiency"});
-    for (const Row& r : rows) {
-      csv.add_row({std::to_string(r.batch), u::format_fixed(r.per_sample, 9),
-                   u::format_fixed(r.total, 6),
-                   u::format_fixed(r.update_saving, 6),
-                   u::format_fixed(r.efficiency, 6)});
-    }
-  }
+  bench.write_csv({"batch", "per_sample_time_s", "total_improvement",
+                   "weights_update_saving", "compute_efficiency"},
+                  rows);
   return 0;
 }

@@ -8,8 +8,9 @@
 // bandwidth per GPU than the original 2-GPU case (scaling LLM training is
 // weak scaling: communication grows, so the I/O window per byte widens).
 //
-// The config list (baseline + 5 upscaled points) runs through the
-// SweepRunner (--workers N); --csv PATH dumps the series.
+// The config list (baseline + 5 upscaled points) runs through
+// sweep::BenchMain as an analytic grid (--workers N); --csv PATH dumps the
+// series.
 
 #include <iostream>
 #include <string>
@@ -19,10 +20,7 @@
 #include "ssdtrain/analysis/perf_model.hpp"
 #include "ssdtrain/hw/catalog.hpp"
 #include "ssdtrain/modules/model.hpp"
-#include "ssdtrain/sweep/cli.hpp"
-#include "ssdtrain/sweep/runner.hpp"
-#include "ssdtrain/util/check.hpp"
-#include "ssdtrain/util/csv.hpp"
+#include "ssdtrain/sweep/bench_main.hpp"
 #include "ssdtrain/util/label.hpp"
 #include "ssdtrain/util/table.hpp"
 #include "ssdtrain/util/units.hpp"
@@ -60,34 +58,27 @@ u::BytesPerSecond project(const Config& c) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = sweep::parse_cli(argc, argv);
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::analytic);
 
   // Point 0 is the 2-GPU evaluation machine (no sequence parallelism).
   const std::vector<Config> configs = {{1, 2, 3, false}, {1, 4, 3, true},
                                        {1, 8, 3, true},  {2, 8, 6, true},
                                        {4, 8, 12, true}, {8, 8, 24, true}};
 
-  sweep::SweepRunner runner(options.workers);
-  const auto outcomes = runner.map(configs, project, options.map_options());
-  int failed = 0;
-  for (const auto& o : outcomes) {
-    if (o.ok()) continue;
-    std::cerr << "projection failed: " << o.error << "\n";
-    ++failed;
-  }
-  if (failed != 0) return 1;
+  const auto bandwidths = bench.run(configs, project);
+  if (!bandwidths) return 1;
 
   std::cout << "=== Fig. 8(b): impact of upscaling on per-GPU SSD write "
                "bandwidth (BERT-style, H12288) ===\n\n";
 
-  const double baseline = outcomes[0].get();
+  const double baseline = bandwidths->front();
 
   u::AsciiTable table(
       {"config", "GPUs", "write bandwidth per GPU", "vs 2-GPU case"});
   bool all_below = true;
   for (std::size_t i = 1; i < configs.size(); ++i) {
     const Config& c = configs[i];
-    const double bw = outcomes[i].get();
+    const double bw = (*bandwidths)[i];
     all_below = all_below && bw < baseline;
     table.add_row({u::label("PP", c.pp) + u::label(" TP", c.tp) +
                        u::label(" L", c.layers),
@@ -103,17 +94,16 @@ int main(int argc, char** argv) {
                     : "WARNING: some configuration exceeds the 2-GPU "
                       "case (paper expects all below).\n");
 
-  if (options.csv_enabled()) {
-    u::CsvWriter csv(options.csv_path,
-                     {"pp", "tp", "layers", "gpus",
-                      "write_bandwidth_per_gpu_bps", "vs_baseline"});
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      const Config& c = configs[i];
-      csv.add_row({std::to_string(c.pp), std::to_string(c.tp),
-                   std::to_string(c.layers), std::to_string(c.pp * c.tp),
-                   u::format_fixed(outcomes[i].get(), 0),
-                   u::format_fixed(outcomes[i].get() / baseline, 6)});
-    }
+  std::vector<sweep::Cells> rows;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const Config& c = configs[i];
+    rows.push_back({std::to_string(c.pp), std::to_string(c.tp),
+                    std::to_string(c.layers), std::to_string(c.pp * c.tp),
+                    u::format_fixed((*bandwidths)[i], 0),
+                    u::format_fixed((*bandwidths)[i] / baseline, 6)});
   }
+  bench.write_csv({"pp", "tp", "layers", "gpus",
+                   "write_bandwidth_per_gpu_bps", "vs_baseline"},
+                  rows);
   return 0;
 }

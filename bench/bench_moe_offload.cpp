@@ -7,29 +7,20 @@
 // unchanged, so offloaded bytes and the required write bandwidth grow with
 // top_k and are invariant in the expert count.
 //
-// Full sweep-engine surface: `--workers N` shards the grid, `--csv PATH`
-// dumps the series, `--points experts=16,top_k=2` runs a single cell, and
-// re-running with an existing --csv file skips the completed cells and
-// appends only the missing rows (resumable sweeps).
+// A streamed sweep::BenchMain grid, so the full sweep-engine surface
+// applies: `--workers N` shards the grid, `--csv PATH` streams the series,
+// `--points experts=16,top_k=2` runs a single cell, `--shard I/N` runs one
+// process's slice, and re-running with an existing --csv file skips the
+// completed cells and appends only the missing rows (resumable sweeps).
 
 #include <cstdint>
 #include <iostream>
-#include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
 #include "ssdtrain/modules/model.hpp"
-#include "ssdtrain/runtime/program_cache.hpp"
 #include "ssdtrain/runtime/session.hpp"
-#include "ssdtrain/sweep/chaos_exec.hpp"
-#include "ssdtrain/sweep/cli.hpp"
-#include "ssdtrain/sweep/progress.hpp"
-#include "ssdtrain/sweep/resume.hpp"
-#include "ssdtrain/sweep/runner.hpp"
-#include "ssdtrain/util/check.hpp"
-#include "ssdtrain/util/csv.hpp"
-#include "ssdtrain/util/label.hpp"
+#include "ssdtrain/sweep/bench_main.hpp"
 #include "ssdtrain/util/table.hpp"
 #include "ssdtrain/util/units.hpp"
 
@@ -40,30 +31,20 @@ namespace u = ssdtrain::util;
 
 namespace {
 
-// --no-replay forces the legacy trace-every-step path (A/B switch).
-bool g_use_replay = true;
-// --pp/--tp/--dp/--zero override each measured session's parallelism.
-sweep::CliOptions g_cli;
-// Shared program cache: repeated-config points skip their trace step, and
-// --program-cache DIR extends the sharing to sibling shard processes
-// (--no-program-cache disables it for cold-trace A/B runs).
-std::unique_ptr<rt::ProgramCache> g_program_cache;
-
 struct MoePoint {
   rt::StepStats stats;
   double plan_offloadable = 0.0;
 };
 
-MoePoint measure(const sweep::SweepPoint& point) {
+MoePoint measure(const sweep::BenchMain& bench,
+                 const sweep::SweepPoint& point) {
   rt::SessionConfig config;
-  config.use_replay = g_use_replay;
   config.model = m::gpt_moe_config(
       4096, 3, 8, static_cast<int>(point.i64("experts")),
       static_cast<int>(point.i64("top_k")));
   config.parallel.tensor_parallel = 2;
-  g_cli.apply_parallel(config.parallel);
-  config.program_cache = g_program_cache.get();
   config.strategy = rt::strategy_from(point.str("strategy"));
+  bench.configure(config);
   rt::TrainingSession session(std::move(config));
   session.run_step();  // warm-up
   MoePoint result;
@@ -78,13 +59,7 @@ MoePoint measure(const sweep::SweepPoint& point) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = sweep::parse_cli(argc, argv);
-  g_use_replay = !options.no_replay;
-  g_cli = options;
-  if (g_cli.program_cache_enabled()) {
-    g_program_cache = std::make_unique<rt::ProgramCache>(
-        rt::ProgramCacheConfig{g_cli.program_cache_dir});
-  }
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::streamed);
 
   sweep::SweepSpec spec;
   spec.axis("experts", std::vector<std::int64_t>{4, 8, 16})
@@ -95,85 +70,28 @@ int main(int argc, char** argv) {
                 std::string(to_string(rt::Strategy::ssdtrain)),
                 std::string(to_string(rt::Strategy::ssdtrain_recompute))});
 
-  std::vector<sweep::SweepPoint> points = sweep::select_points(spec, options);
-
-  // Resumable sweeps: skip the cells an earlier --csv run already wrote.
-  std::unique_ptr<sweep::CsvResume> resume;
-  if (options.csv_enabled()) {
-    resume = std::make_unique<sweep::CsvResume>(
-        options.csv_path,
-        std::vector<std::string>{"experts", "top_k", "strategy"});
-    const std::size_t before = points.size();
-    points = resume->remaining(std::move(points));
-    if (resume->resuming()) {
-      std::cout << "resuming: " << before - points.size() << "/" << before
-                << " grid cells already in " << options.csv_path;
-      if (resume->repaired_tail()) std::cout << " (repaired a torn tail)";
-      std::cout << "\n";
-    }
-  }
-
-  // Streaming CSV commits: each point's row is flushed (in canonical grid
-  // order) the moment it can be, so the row count doubles as the progress
-  // heartbeat sweep_orchestrate watches, a killed run loses at most the
-  // in-flight points, and a --chaos-exec spec can kill/stall this worker
-  // at an exact row boundary.
-  std::unique_ptr<sweep::CsvProgress> progress;
-  if (options.csv_enabled()) {
-    progress = std::make_unique<sweep::CsvProgress>(
-        options.csv_path,
-        std::vector<std::string>{"experts", "top_k", "strategy",
-                                 "step_time_s", "activation_peak_bytes",
-                                 "offloaded_bytes", "plan_offloadable_bytes",
-                                 "required_write_bw_bps"},
-        sweep::ChaosExec::parse(options.chaos_exec));
-  }
-  const auto row_for = [](const sweep::SweepPoint& point,
-                          const MoePoint& r) -> std::vector<std::string> {
-    return {sweep::to_string(point.value("experts")),
-            sweep::to_string(point.value("top_k")),
-            point.str("strategy"),
-            u::format_fixed(r.stats.step_time, 9),
-            std::to_string(r.stats.activation_peak),
-            std::to_string(r.stats.offloaded_bytes),
-            u::format_fixed(r.plan_offloadable, 0),
-            u::format_fixed(r.stats.required_write_bandwidth, 0)};
-  };
-
-  std::vector<std::size_t> indices(points.size());
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
-  sweep::SweepRunner runner(options.workers);
-  const auto outcomes = runner.map(
-      indices,
-      [&](std::size_t i) {
-        MoePoint r = measure(points[i]);
-        if (progress) progress->commit(i, row_for(points[i], r));
-        return r;
-      },
-      options.map_options());
-  // A failed point (thrown or watchdog-abandoned) is a hole, not a crash:
-  // report it and exit nonzero at the end so a supervisor can tell
-  // "completed" from "completed with holes" without parsing the CSV.
-  int failed = 0;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!outcomes[i].ok()) {
-      std::cerr << points[i].label() << " failed: " << outcomes[i].error
-                << "\n";
-      ++failed;
-    }
-  }
+  const auto done = bench.stream(
+      spec,
+      {"experts", "top_k", "strategy", "step_time_s", "activation_peak_bytes",
+       "offloaded_bytes", "plan_offloadable_bytes", "required_write_bw_bps"},
+      [&bench](const sweep::SweepPoint& p) { return measure(bench, p); },
+      [](const MoePoint& r) -> sweep::Cells {
+        return {u::format_fixed(r.stats.step_time, 9),
+                std::to_string(r.stats.activation_peak),
+                std::to_string(r.stats.offloaded_bytes),
+                u::format_fixed(r.plan_offloadable, 0),
+                u::format_fixed(r.stats.required_write_bandwidth, 0)};
+      });
 
   std::cout << "=== MoE offload sweep (GPT-MoE H4096 L3 B8, TP2) ===\n\n";
   u::AsciiTable table({"experts", "top-k", "strategy", "step time",
                        "act peak", "offloaded", "plan offloadable",
                        "req. write BW"});
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!outcomes[i].ok()) continue;
-    const MoePoint& r = outcomes[i].get();
+  for (const auto& [point, r] : done) {
     table.add_row(
-        {sweep::to_string(points[i].value("experts")),
-         sweep::to_string(points[i].value("top_k")),
-         points[i].str("strategy"), u::format_time(r.stats.step_time),
+        {sweep::to_string(point.value("experts")),
+         sweep::to_string(point.value("top_k")),
+         point.str("strategy"), u::format_time(r.stats.step_time),
          u::format_bytes(static_cast<double>(r.stats.activation_peak)),
          u::format_bytes(static_cast<double>(r.stats.offloaded_bytes)),
          u::format_bytes(r.plan_offloadable),
@@ -183,5 +101,5 @@ int main(int argc, char** argv) {
   std::cout << "Expected shape: offloaded bytes grow with top-k, are flat "
                "in the expert count,\nand ssdtrain stays within ~2% of "
                "keep-in-gpu step time.\n";
-  return failed == 0 ? 0 : 1;
+  return bench.exit_code();
 }

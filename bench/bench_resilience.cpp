@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,14 +33,8 @@
 #include "ssdtrain/fault/fault.hpp"
 #include "ssdtrain/modules/model.hpp"
 #include "ssdtrain/runtime/cluster_session.hpp"
-#include "ssdtrain/runtime/program_cache.hpp"
 #include "ssdtrain/sched/schedule.hpp"
-#include "ssdtrain/sweep/cli.hpp"
-#include "ssdtrain/sweep/runner.hpp"
-#include "ssdtrain/sweep/spec.hpp"
-#include "ssdtrain/util/check.hpp"
-#include "ssdtrain/util/csv.hpp"
-#include "ssdtrain/util/label.hpp"
+#include "ssdtrain/sweep/bench_main.hpp"
 #include "ssdtrain/util/stats.hpp"
 #include "ssdtrain/util/table.hpp"
 #include "ssdtrain/util/units.hpp"
@@ -56,11 +49,6 @@ namespace u = ssdtrain::util;
 
 namespace {
 
-sweep::CliOptions g_cli;
-// Shared program cache: repeated-config points skip their trace step, and
-// --program-cache DIR extends the sharing to sibling shard processes
-// (--no-program-cache disables it for cold-trace A/B runs).
-std::unique_ptr<rt::ProgramCache> g_program_cache;
 int g_measure_steps = 6;
 int g_recover_cap = 8;
 int g_crash_count = 3;  ///< stage crashes per goodput-vs-MTBF run
@@ -83,15 +71,13 @@ struct ResiliencePoint {
   double goodput_ckpt = 0.0;
 };
 
-/// Builds the cell's base cluster config (no fault specs attached).
+/// Builds the cell's base cluster config (no fault specs attached; the
+/// callers add theirs, then apply the command line with configure()).
 rt::ClusterConfig cell_config(const sweep::SweepPoint& point) {
   const int pp = static_cast<int>(point.i64("pp"));
   rt::ClusterConfig config;
-  config.use_replay = !g_cli.no_replay;
   config.model = m::bert_config(2048, 2 * pp, 4);
   config.parallel.pipeline_parallel = pp;
-  g_cli.apply_parallel(config.parallel);
-  config.program_cache = g_program_cache.get();
   config.strategy = rt::strategy_from(point.str("strategy"));
   config.micro_batches = 2 * pp;
   config.schedule = sched::PipelineKind::one_f_one_b;
@@ -105,7 +91,8 @@ rt::ClusterConfig cell_config(const sweep::SweepPoint& point) {
 /// historical lose=none pause (the stream stalls, nothing is lost). Crashes
 /// go through trigger() at step boundaries — a future `at` in a spec would
 /// fire during the first step's queue drain.
-double crash_goodput(const sweep::SweepPoint& point, double mtbf,
+double crash_goodput(const sweep::BenchMain& bench,
+                     const sweep::SweepPoint& point, double mtbf,
                      bool destructive) {
   rt::ClusterConfig config = cell_config(point);
   f::FaultSpec arm;  // inert: the injector must exist for trigger()
@@ -114,11 +101,12 @@ double crash_goodput(const sweep::SweepPoint& point, double mtbf,
   arm.at = 0.0;
   arm.duration = 1e-9;
   config.faults.specs = {arm};
-  config.faults.seed = g_cli.fault_seed != 0 ? g_cli.fault_seed : 7;
+  config.faults.seed = 7;
   if (destructive) {
     config.checkpoint.auto_interval = true;
     config.checkpoint.mtbf = mtbf;
   }
+  bench.configure(config);
   rt::ClusterSession session(std::move(config));
 
   f::FaultSpec crash;
@@ -146,15 +134,14 @@ double crash_goodput(const sweep::SweepPoint& point, double mtbf,
   return (report.wall_clock - downtime) / report.wall_clock;
 }
 
-ResiliencePoint measure(const sweep::SweepPoint& point) {
+ResiliencePoint measure(const sweep::BenchMain& bench,
+                        const sweep::SweepPoint& point) {
   const double rate = point.f64("rate");
 
   rt::ClusterConfig config = cell_config(point);
-  if (g_cli.faults_enabled()) {
-    // Explicit --faults overrides the bench's generated specs (the rate
-    // axis then only varies the label).
-    config.faults = g_cli.fault_config();
-  } else if (rate > 0.0) {
+  // An explicit --faults replaces these generated specs in configure() (the
+  // rate axis then only varies the label).
+  if (rate > 0.0) {
     f::FaultSpec errors;
     errors.kind = f::FaultKind::io_error;
     errors.rate = rate;
@@ -164,8 +151,9 @@ ResiliencePoint measure(const sweep::SweepPoint& point) {
     spike.at = 0.05;
     spike.duration = 0.05;
     config.faults.specs = {errors, spike};
-    config.faults.seed = g_cli.fault_seed != 0 ? g_cli.fault_seed : 7;
+    config.faults.seed = 7;
   }
+  bench.configure(config);
   rt::ClusterSession session(std::move(config));
 
   // Warm-up steps record every stage's program (chunk stagger), so the
@@ -210,26 +198,20 @@ ResiliencePoint measure(const sweep::SweepPoint& point) {
   // expose the lost-work and restore terms, deterministic via the
   // low-discrepancy schedule.
   result.mtbf = 12.0 * result.mean_step;
-  result.goodput_pause = crash_goodput(point, result.mtbf, false);
-  result.goodput_ckpt = crash_goodput(point, result.mtbf, true);
+  result.goodput_pause = crash_goodput(bench, point, result.mtbf, false);
+  result.goodput_ckpt = crash_goodput(bench, point, result.mtbf, true);
   return result;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_cli = sweep::parse_cli(argc, argv);
-  if (g_cli.program_cache_enabled()) {
-    g_program_cache = std::make_unique<rt::ProgramCache>(
-        rt::ProgramCacheConfig{g_cli.program_cache_dir});
-  }
-  const bool smoke =
-      !g_cli.positional.empty() && g_cli.positional[0] == "smoke";
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::streamed);
 
   std::vector<double> rates = {0.0, 0.01, 0.05};
   std::vector<std::string> strategies = {"ssdtrain", "ssdtrain+recompute"};
   std::vector<std::int64_t> depths = {1, 2};
-  if (smoke) {
+  if (bench.mode("smoke")) {
     rates = {0.05};
     strategies = {"ssdtrain"};
     depths = {1};
@@ -244,26 +226,35 @@ int main(int argc, char** argv) {
   sweep::SweepSpec spec;
   spec.axis("rate", rates).axis("strategy", strategies).axis("pp", depths);
 
-  sweep::SweepRunner runner(g_cli.workers);
-  const auto points = sweep::select_points(spec, g_cli);
-  const auto outcomes = runner.map(points, measure, g_cli.map_options());
-
-  int failed = 0;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (outcomes[i].ok()) continue;
-    std::cerr << points[i].label() << " failed: " << outcomes[i].error << "\n";
-    ++failed;
-  }
-  if (failed != 0) return 1;
+  const auto done = bench.stream(
+      spec,
+      {"rate", "strategy", "pp", "p50_step_s", "p99_step_s", "mean_step_s",
+       "throughput_flops", "io_retries", "recompute_fallbacks",
+       "fault_stall_s", "recover_steps", "mtbf_s", "goodput_pause",
+       "goodput_ckpt"},
+      [&bench](const sweep::SweepPoint& p) { return measure(bench, p); },
+      [](const ResiliencePoint& r) -> sweep::Cells {
+        return {u::format_fixed(r.p50, 9), u::format_fixed(r.p99, 9),
+                u::format_fixed(r.mean_step, 9),
+                u::format_fixed(r.throughput, 3), std::to_string(r.io_retries),
+                std::to_string(r.recompute_fallbacks),
+                u::format_fixed(r.fault_stall, 9),
+                std::to_string(r.recover_steps), u::format_fixed(r.mtbf, 9),
+                u::format_fixed(r.goodput_pause, 6),
+                u::format_fixed(r.goodput_ckpt, 6)};
+      },
+      // The rate key is fixed-point ("0.0100"), which resume matches as is.
+      [](const sweep::SweepPoint& p) -> sweep::Cells {
+        return {u::format_fixed(p.f64("rate"), 4), p.str("strategy"),
+                std::to_string(p.i64("pp"))};
+      });
 
   u::AsciiTable table({"fault rate", "strategy", "pp", "p50 step", "p99 step",
                        "retries", "fallbacks", "stall", "recover steps",
                        "mtbf", "goodput pause", "goodput ckpt"});
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const ResiliencePoint& r = outcomes[i].get();
-    table.add_row({u::format_fixed(points[i].f64("rate"), 2),
-                   points[i].str("strategy"),
-                   std::to_string(points[i].i64("pp")),
+  for (const auto& [point, r] : done) {
+    table.add_row({u::format_fixed(point.f64("rate"), 2),
+                   point.str("strategy"), std::to_string(point.i64("pp")),
                    u::format_time(r.p50), u::format_time(r.p99),
                    std::to_string(r.io_retries),
                    std::to_string(r.recompute_fallbacks),
@@ -282,30 +273,5 @@ int main(int argc, char** argv) {
                "(lose=state) recovered from Young-Daly-paced\ncheckpoints "
                "on the offload SSDs — the gap is what the pause model "
                "hides.\n";
-
-  if (g_cli.csv_enabled()) {
-    u::CsvWriter csv(g_cli.csv_path,
-                     {"rate", "strategy", "pp", "p50_step_s", "p99_step_s",
-                      "mean_step_s", "throughput_flops", "io_retries",
-                      "recompute_fallbacks", "fault_stall_s",
-                      "recover_steps", "mtbf_s", "goodput_pause",
-                      "goodput_ckpt"});
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const ResiliencePoint& r = outcomes[i].get();
-      csv.add_row({u::format_fixed(points[i].f64("rate"), 4),
-                   points[i].str("strategy"),
-                   std::to_string(points[i].i64("pp")),
-                   u::format_fixed(r.p50, 9), u::format_fixed(r.p99, 9),
-                   u::format_fixed(r.mean_step, 9),
-                   u::format_fixed(r.throughput, 3),
-                   std::to_string(r.io_retries),
-                   std::to_string(r.recompute_fallbacks),
-                   u::format_fixed(r.fault_stall, 9),
-                   std::to_string(r.recover_steps),
-                   u::format_fixed(r.mtbf, 9),
-                   u::format_fixed(r.goodput_pause, 6),
-                   u::format_fixed(r.goodput_ckpt, 6)});
-    }
-  }
-  return 0;
+  return bench.exit_code();
 }

@@ -8,24 +8,21 @@
 // The sweep results themselves are also cross-checked between worker
 // counts: per-point isolation means numbers must not depend on scheduling.
 //
-// Usage: bench_sweep_scaling [--csv PATH]
+// Usage: bench_sweep_scaling [--csv PATH] [session flags]. It is a batch
+// sweep::BenchMain bench that runs its grid on its own runners, so it also
+// rejects --workers.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "ssdtrain/modules/model.hpp"
-#include "ssdtrain/runtime/program_cache.hpp"
 #include "ssdtrain/runtime/session.hpp"
-#include "ssdtrain/sweep/cli.hpp"
-#include "ssdtrain/sweep/runner.hpp"
-#include "ssdtrain/sweep/spec.hpp"
+#include "ssdtrain/sweep/bench_main.hpp"
 #include "ssdtrain/util/check.hpp"
-#include "ssdtrain/util/csv.hpp"
 #include "ssdtrain/util/table.hpp"
 #include "ssdtrain/util/units.hpp"
 
@@ -36,23 +33,13 @@ namespace u = ssdtrain::util;
 
 namespace {
 
-// --no-replay forces the legacy trace-every-step path (A/B switch).
-bool g_use_replay = true;
-// --pp/--tp/--dp/--zero override each measured session's parallelism.
-sweep::CliOptions g_cli;
-// Shared program cache: repeated-config points skip their trace step, and
-// --program-cache DIR extends the sharing to sibling shard processes
-// (--no-program-cache disables it for cold-trace A/B runs).
-std::unique_ptr<rt::ProgramCache> g_program_cache;
-
-double run_point(const sweep::SweepPoint& point) {
+double run_point(const sweep::BenchMain& bench,
+                 const sweep::SweepPoint& point) {
   rt::SessionConfig config;
-  config.use_replay = g_use_replay;
   config.model = m::bert_config(8192, 2, point.i64("batch"));
   config.parallel.tensor_parallel = 2;
-  g_cli.apply_parallel(config.parallel);
-  config.program_cache = g_program_cache.get();
   config.strategy = rt::strategy_from(point.str("strategy"));
+  bench.configure(config);
   rt::TrainingSession session(std::move(config));
   session.run_step();
   return session.run_step().step_time;
@@ -61,13 +48,10 @@ double run_point(const sweep::SweepPoint& point) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = sweep::parse_cli(argc, argv);
-  g_use_replay = !options.no_replay;
-  g_cli = options;
-  if (g_cli.program_cache_enabled()) {
-    g_program_cache = std::make_unique<rt::ProgramCache>(
-        rt::ProgramCacheConfig{g_cli.program_cache_dir});
-  }
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::batch);
+  u::expects(bench.cli().workers == 0,
+             "--workers is not supported here: this bench times its own "
+             "worker counts (1, 2, 4 and every hardware thread)");
 
   sweep::SweepSpec spec;
   spec.axis("strategy",
@@ -96,9 +80,14 @@ int main(int argc, char** argv) {
   std::vector<Sample> samples;
   std::vector<double> reference_results;
   for (std::size_t workers : worker_counts) {
+    // The timed runners are this bench's subject, so it keeps its own
+    // instead of the harness's; each joins before `bench` goes away.
     sweep::SweepRunner runner(workers);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto outcomes = runner.run(spec, run_point, options.map_options());
+    const auto outcomes = runner.run(
+        spec,
+        [&bench](const sweep::SweepPoint& p) { return run_point(bench, p); },
+        bench.cli().map_options());
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -125,24 +114,21 @@ int main(int argc, char** argv) {
 
   const double serial = samples.front().seconds;
   u::AsciiTable table({"workers", "wall time", "speedup", "efficiency"});
+  std::vector<sweep::Cells> rows;
   for (const Sample& s : samples) {
     const double speedup = serial / s.seconds;
     table.add_row({std::to_string(s.workers), u::format_time(s.seconds),
                    u::format_fixed(speedup, 2) + "x",
                    u::format_percent(
                        speedup / static_cast<double>(s.workers), 0)});
+    rows.push_back({std::to_string(s.workers), u::format_fixed(s.seconds, 6),
+                    u::format_fixed(speedup, 6)});
   }
   std::cout << table.render() << "\n";
   std::cout << "(Speedups saturate at the hardware-thread count; on a "
                "1-core runner every row\nis ~1.0x. Results are verified "
                "identical across worker counts.)\n";
 
-  if (options.csv_enabled()) {
-    u::CsvWriter csv(options.csv_path, {"workers", "wall_time_s", "speedup"});
-    for (const Sample& s : samples) {
-      csv.add_row({std::to_string(s.workers), u::format_fixed(s.seconds, 6),
-                   u::format_fixed(serial / s.seconds, 6)});
-    }
-  }
+  bench.write_csv({"workers", "wall_time_s", "speedup"}, rows);
   return 0;
 }

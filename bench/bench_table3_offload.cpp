@@ -7,21 +7,16 @@
 // required bandwidth decreasing as the hidden dimension grows
 // (18.0 / 13.8 / 8.76 GB/s on the authors' testbed).
 //
-// The three configurations run concurrently through the SweepRunner
-// (--workers N); --csv PATH dumps the series.
+// The three configurations run concurrently as a sweep::BenchMain batch
+// grid (--workers N); --csv PATH dumps the series.
 
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "ssdtrain/modules/model.hpp"
-#include "ssdtrain/runtime/program_cache.hpp"
 #include "ssdtrain/runtime/session.hpp"
-#include "ssdtrain/sweep/cli.hpp"
-#include "ssdtrain/sweep/runner.hpp"
-#include "ssdtrain/util/check.hpp"
-#include "ssdtrain/util/csv.hpp"
+#include "ssdtrain/sweep/bench_main.hpp"
 #include "ssdtrain/util/label.hpp"
 #include "ssdtrain/util/table.hpp"
 #include "ssdtrain/util/units.hpp"
@@ -32,15 +27,6 @@ namespace sweep = ssdtrain::sweep;
 namespace u = ssdtrain::util;
 
 namespace {
-
-// --no-replay forces the legacy trace-every-step path (A/B switch).
-bool g_use_replay = true;
-// --pp/--tp/--dp/--zero override each measured session's parallelism.
-sweep::CliOptions g_cli;
-// Shared program cache: repeated-config points skip their trace step, and
-// --program-cache DIR extends the sharing to sibling shard processes
-// (--no-program-cache disables it for cold-trace A/B runs).
-std::unique_ptr<rt::ProgramCache> g_program_cache;
 
 struct Case {
   std::int64_t hidden;
@@ -53,14 +39,12 @@ struct Offload {
   double bandwidth = 0.0;
 };
 
-Offload measure(const Case& c) {
+Offload measure(const sweep::BenchMain& bench, const Case& c) {
   rt::SessionConfig config;
-  config.use_replay = g_use_replay;
   config.model = m::bert_config(c.hidden, c.layers, 16);
   config.parallel.tensor_parallel = 2;
-  g_cli.apply_parallel(config.parallel);
-  config.program_cache = g_program_cache.get();
   config.strategy = rt::Strategy::ssdtrain;
+  bench.configure(config);
   rt::TrainingSession session(std::move(config));
   session.run_step();
   const auto stats = session.run_step();
@@ -75,56 +59,40 @@ Offload measure(const Case& c) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = sweep::parse_cli(argc, argv);
-  g_use_replay = !options.no_replay;
-  g_cli = options;
-  if (g_cli.program_cache_enabled()) {
-    g_program_cache = std::make_unique<rt::ProgramCache>(
-        rt::ProgramCacheConfig{g_cli.program_cache_dir});
-  }
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::batch);
 
   const std::vector<Case> cases = {{8192, 4}, {12288, 3}, {16384, 2}};
 
-  sweep::SweepRunner runner(options.workers);
-  const auto outcomes = runner.map(cases, measure, options.map_options());
-  int failed = 0;
-  for (const auto& o : outcomes) {
-    if (o.ok()) continue;
-    std::cerr << "case failed: " << o.error << "\n";
-    ++failed;
-  }
-  if (failed != 0) return 1;
+  const auto offloads = bench.run(
+      cases, [&bench](const Case& c) { return measure(bench, c); });
+  if (!offloads) return 1;
 
   std::cout << "=== Table III: offloaded amount vs model estimate "
                "(BERT, B=16, TP2) ===\n\n";
 
   u::AsciiTable table({"config", "offloaded (measured)", "model estimate",
                        "difference", "PCIe write bandwidth"});
+  std::vector<sweep::Cells> rows;
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    const Offload& r = outcomes[i].get();
+    const Offload& r = (*offloads)[i];
     table.add_row({u::label("H", cases[i].hidden) +
                        u::label(" L", cases[i].layers),
                    u::format_bytes(r.measured), u::format_bytes(r.estimate),
                    u::format_percent(r.measured / r.estimate - 1.0),
                    u::format_bandwidth(r.bandwidth)});
+    rows.push_back({std::to_string(cases[i].hidden),
+                    std::to_string(cases[i].layers),
+                    u::format_fixed(r.measured, 0),
+                    u::format_fixed(r.estimate, 0),
+                    u::format_fixed(r.bandwidth, 0)});
   }
   std::cout << table.render() << "\n";
   std::cout << "Paper reference: offloaded 10.37/12.85/10.75 GB, estimates "
                "11.13/12.60/11.50 GB,\nbandwidth 18.0/13.8/8.76 GB/s "
                "(decreasing with hidden size).\n";
 
-  if (options.csv_enabled()) {
-    u::CsvWriter csv(options.csv_path,
-                     {"hidden", "layers", "offloaded_bytes",
-                      "estimate_bytes", "write_bandwidth_bps"});
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-      const Offload& r = outcomes[i].get();
-      csv.add_row({std::to_string(cases[i].hidden),
-                   std::to_string(cases[i].layers),
-                   u::format_fixed(r.measured, 0),
-                   u::format_fixed(r.estimate, 0),
-                   u::format_fixed(r.bandwidth, 0)});
-    }
-  }
+  bench.write_csv({"hidden", "layers", "offloaded_bytes", "estimate_bytes",
+                   "write_bandwidth_bps"},
+                  rows);
   return 0;
 }

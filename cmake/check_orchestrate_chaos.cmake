@@ -8,11 +8,13 @@
 # through MERGER --expect as a tool-level cross-check.
 #
 # Inputs: -DBENCH=... -DORCHESTRATOR=... -DMERGER=... -DOUTDIR=...
+# Optional: -DBENCH_ARGS=... (a ;-list passed to every bench run, e.g.
+# "--points;pp=1" to keep the grid small).
 
 file(REMOVE_RECURSE ${OUTDIR})
 file(MAKE_DIRECTORY ${OUTDIR})
 
-execute_process(COMMAND ${BENCH} --csv ${OUTDIR}/single.csv
+execute_process(COMMAND ${BENCH} ${BENCH_ARGS} --csv ${OUTDIR}/single.csv
                 RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "single-process bench run failed (exit ${rc})")
@@ -25,7 +27,7 @@ execute_process(COMMAND ${ORCHESTRATOR}
                         --poll-interval 0.05
                         --out ${OUTDIR}/merged.csv
                         --workdir ${OUTDIR}/shards
-                        -- ${BENCH}
+                        -- ${BENCH} ${BENCH_ARGS}
                 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "sweep_orchestrate failed under chaos (exit ${rc})")

@@ -11,8 +11,9 @@
 // configuration the paper cites) and prints the analytical 1F1B bubble
 // side by side with the measured one — the measured bubble sits above the
 // ideal because pipeline sends contend with SSD offload traffic on each
-// GPU's PCIe link. The micro-batch axis runs as a sweep (--workers N);
-// --csv PATH dumps the series; --pp/--tp override the pipeline shape.
+// GPU's PCIe link. The micro-batch axis runs as a streamed sweep::BenchMain
+// grid (--workers N, --points, --shard, resumable --csv PATH); --pp/--tp
+// override the pipeline shape.
 
 #include <cstdint>
 #include <iostream>
@@ -21,11 +22,7 @@
 #include "ssdtrain/modules/model.hpp"
 #include "ssdtrain/runtime/cluster_session.hpp"
 #include "ssdtrain/sched/schedule.hpp"
-#include "ssdtrain/sweep/cli.hpp"
-#include "ssdtrain/sweep/runner.hpp"
-#include "ssdtrain/sweep/spec.hpp"
-#include "ssdtrain/util/check.hpp"
-#include "ssdtrain/util/csv.hpp"
+#include "ssdtrain/sweep/bench_main.hpp"
 #include "ssdtrain/util/label.hpp"
 #include "ssdtrain/util/table.hpp"
 #include "ssdtrain/util/units.hpp"
@@ -38,12 +35,6 @@ namespace u = ssdtrain::util;
 
 namespace {
 
-// --no-replay forces the legacy trace-every-step path (A/B switch).
-bool g_use_replay = true;
-// --pp/--tp override the cluster shape (defaults: PP4 TP2).
-int g_pipeline_stages = 4;
-int g_tensor_parallel = 2;
-
 constexpr int kMiniBatchSamples = 32;  // per DP rank, as in BLOOM
 constexpr int kLayersPerStage = 3;
 
@@ -53,79 +44,82 @@ struct StageResult {
   rt::ClusterStepStats stats;
 };
 
-StageResult measure(const sweep::SweepPoint& point) {
+/// The PP4 TP2 cluster with the command line applied (--pp/--tp reshape
+/// it); the model follows the pipeline depth, so it is set afterwards.
+rt::ClusterConfig base_config(const sweep::BenchMain& bench) {
+  rt::ClusterConfig config;
+  config.parallel.tensor_parallel = 2;
+  config.parallel.pipeline_parallel = 4;
+  config.strategy = rt::Strategy::ssdtrain;
+  config.schedule = sched::PipelineKind::one_f_one_b;
+  bench.configure(config);
+  return config;
+}
+
+StageResult measure(const sweep::BenchMain& bench,
+                    const sweep::SweepPoint& point) {
   const std::int64_t mb_size = point.i64("micro_batch");
   StageResult result;
   result.micro_batches = kMiniBatchSamples / static_cast<int>(mb_size);
 
-  rt::ClusterConfig config;
-  config.use_replay = g_use_replay;
-  config.model =
-      m::bert_config(8192, kLayersPerStage * g_pipeline_stages, mb_size);
-  config.parallel.tensor_parallel = g_tensor_parallel;
-  config.parallel.pipeline_parallel = g_pipeline_stages;
-  config.strategy = rt::Strategy::ssdtrain;
+  rt::ClusterConfig config = base_config(bench);
+  const int stages = config.parallel.pipeline_parallel;
+  config.model = m::bert_config(8192, kLayersPerStage * stages, mb_size);
   config.micro_batches = result.micro_batches;
-  config.schedule = sched::PipelineKind::one_f_one_b;
   rt::ClusterSession session(std::move(config));
 
   // Step 1 traces and records every stage's program; step 2 is the
   // replayed steady state the numbers come from.
   result.stats = session.run_steps(2).back();
-  result.bubble =
-      sched::ideal_bubble_fraction(result.micro_batches, g_pipeline_stages);
+  result.bubble = sched::ideal_bubble_fraction(result.micro_batches, stages);
   return result;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = sweep::parse_cli(argc, argv);
-  g_use_replay = !options.no_replay;
-  if (options.pipeline_parallel > 0) {
-    g_pipeline_stages = options.pipeline_parallel;
-  }
-  if (options.tensor_parallel > 0) {
-    g_tensor_parallel = options.tensor_parallel;
-  }
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::streamed);
 
   std::cout << "1F1B pipeline study: BERT H8192, " << kLayersPerStage
-            << " layers per stage, " << g_pipeline_stages << " stages, "
+            << " layers per stage, "
+            << base_config(bench).parallel.pipeline_parallel << " stages, "
             << kMiniBatchSamples << "-sample mini-batch per rank\n\n";
 
   sweep::SweepSpec spec;
   spec.axis("micro_batch", std::vector<std::int64_t>{1, 2, 4, 8});
 
-  sweep::SweepRunner runner(options.workers);
-  const auto points = sweep::select_points(spec, options);
-  const auto outcomes = runner.map(points, measure, options.map_options());
+  // Measured full-cluster throughput: the mini-batch over the measured
+  // step (compute pipeline + DP reduction + optimizer).
+  const auto samples_per_s = [](const StageResult& r) {
+    return kMiniBatchSamples / r.stats.combined.step_time;
+  };
+  const auto done = bench.stream(
+      spec,
+      {"micro_batch", "micro_batches", "ideal_bubble", "measured_bubble",
+       "pipeline_time_s", "activation_peak_bytes", "step_time_s",
+       "samples_per_s_cluster"},
+      [&bench](const sweep::SweepPoint& p) { return measure(bench, p); },
+      [samples_per_s](const StageResult& r) -> sweep::Cells {
+        return {std::to_string(r.micro_batches), u::format_fixed(r.bubble, 6),
+                u::format_fixed(r.stats.measured_bubble, 6),
+                u::format_fixed(r.stats.pipeline_time, 9),
+                std::to_string(r.stats.combined.activation_peak),
+                u::format_fixed(r.stats.combined.step_time, 9),
+                u::format_fixed(samples_per_s(r), 6)};
+      });
 
   u::AsciiTable table({"micro-batch size", "micro-batches", "ideal bubble",
                        "measured bubble", "pipeline time",
                        "activation peak (stage)", "samples/s (cluster)"});
-  struct Row {
-    std::int64_t mb_size;
-    StageResult r;
-    double samples_per_s;
-  };
-  std::vector<Row> rows;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    u::check(outcomes[i].ok(),
-             points[i].label() + " failed: " + outcomes[i].error);
-    const StageResult& r = outcomes[i].get();
-    // Measured full-cluster throughput: the mini-batch over the measured
-    // step (compute pipeline + DP reduction + optimizer).
-    const double samples_per_s =
-        kMiniBatchSamples / r.stats.combined.step_time;
-    rows.push_back({points[i].i64("micro_batch"), r, samples_per_s});
-    table.add_row({u::label("B", points[i].i64("micro_batch")),
+  for (const auto& [point, r] : done) {
+    table.add_row({u::label("B", point.i64("micro_batch")),
                    std::to_string(r.micro_batches),
                    u::format_percent(r.bubble),
                    u::format_percent(r.stats.measured_bubble),
                    u::format_time(r.stats.pipeline_time),
                    u::format_bytes(static_cast<double>(
                        r.stats.combined.activation_peak)),
-                   u::format_fixed(samples_per_s, 2)});
+                   u::format_fixed(samples_per_s(r), 2)});
   }
   std::cout << table.render() << "\n";
   std::cout
@@ -137,22 +131,5 @@ int main(int argc, char** argv) {
          "afford larger micro-batch sizes\nAND keep enough micro-batches "
          "in flight.\n";
 
-  if (options.csv_enabled()) {
-    u::CsvWriter csv(options.csv_path,
-                     {"micro_batch", "micro_batches", "ideal_bubble",
-                      "measured_bubble", "pipeline_time_s",
-                      "activation_peak_bytes", "step_time_s",
-                      "samples_per_s_cluster"});
-    for (const Row& row : rows) {
-      csv.add_row({std::to_string(row.mb_size),
-                   std::to_string(row.r.micro_batches),
-                   u::format_fixed(row.r.bubble, 6),
-                   u::format_fixed(row.r.stats.measured_bubble, 6),
-                   u::format_fixed(row.r.stats.pipeline_time, 9),
-                   std::to_string(row.r.stats.combined.activation_peak),
-                   u::format_fixed(row.r.stats.combined.step_time, 9),
-                   u::format_fixed(row.samples_per_s, 6)});
-    }
-  }
-  return 0;
+  return bench.exit_code();
 }

@@ -11,6 +11,9 @@
 //   arch      bert | gpt | t5 | gpt-moe | gpt-gqa   (default bert)
 //   --workers sweep worker threads                  (default: all cores)
 //   --csv     dump the curve as CSV
+// plus the session flags (--no-replay, --pp/--tp/--dp/--zero, --faults,
+// --ckpt-*, ...). The curve is a batch sweep::BenchMain grid, so --points,
+// --shard and --chaos-exec are rejected.
 
 #include <cstdint>
 #include <cstdlib>
@@ -21,11 +24,7 @@
 #include "ssdtrain/hw/device_allocator.hpp"
 #include "ssdtrain/modules/model.hpp"
 #include "ssdtrain/runtime/session.hpp"
-#include "ssdtrain/sweep/cli.hpp"
-#include "ssdtrain/sweep/runner.hpp"
-#include "ssdtrain/sweep/spec.hpp"
-#include "ssdtrain/util/check.hpp"
-#include "ssdtrain/util/csv.hpp"
+#include "ssdtrain/sweep/bench_main.hpp"
 #include "ssdtrain/util/label.hpp"
 #include "ssdtrain/util/table.hpp"
 #include "ssdtrain/util/units.hpp"
@@ -37,9 +36,6 @@ namespace sweep = ssdtrain::sweep;
 namespace u = ssdtrain::util;
 
 namespace {
-
-// --no-replay forces the legacy trace-every-step path (A/B switch).
-bool g_use_replay = true;
 
 const std::vector<rt::Strategy> kStrategies = {rt::Strategy::keep_in_gpu,
                                                rt::Strategy::recompute_full,
@@ -65,9 +61,8 @@ struct RokPoint {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = sweep::parse_cli(argc, argv);
-  g_use_replay = !options.no_replay;
-  const auto& args = options.positional;
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::batch);
+  const auto& args = bench.cli().positional;
   const std::int64_t hidden = !args.empty() ? std::atoll(args[0].c_str())
                                             : 12288;
   const int layers = args.size() > 1 ? std::atoi(args[1].c_str()) : 3;
@@ -95,14 +90,13 @@ int main(int argc, char** argv) {
     points = spec.points();
   }
 
-  sweep::SweepRunner runner(options.workers);
-  const auto outcomes =
-      runner.map(points, [&arch, hidden, layers](const sweep::SweepPoint& p) {
+  const auto measured = bench.run(
+      points, [&bench, arch, hidden, layers](const sweep::SweepPoint& p) {
         rt::SessionConfig config;
-        config.use_replay = g_use_replay;
         config.model = make_model(arch, hidden, layers, p.i64("batch"));
         config.parallel.tensor_parallel = 2;
         config.strategy = rt::strategy_from(p.str("strategy"));
+        bench.configure(config);
         RokPoint result;
         try {
           rt::TrainingSession session(std::move(config));
@@ -112,18 +106,25 @@ int main(int argc, char** argv) {
           result.oom = true;
         }
         return result;
-      }, options.map_options());
+      });
+  if (!measured) return 1;
 
   u::AsciiTable table({"strategy", "batch", "activation peak",
                        "throughput", "samples/s"});
   double best_throughput = 0.0;
   std::string best_point;
+  std::vector<sweep::Cells> rows;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    u::check(outcomes[i].ok(),
-             points[i].label() + " failed: " + outcomes[i].error);
     const std::string& strategy = points[i].str("strategy");
     const std::int64_t batch = points[i].i64("batch");
-    const RokPoint& r = outcomes[i].get();
+    const RokPoint& r = (*measured)[i];
+    rows.push_back(
+        {strategy, std::to_string(batch), r.oom ? "1" : "0",
+         std::to_string(r.stats.activation_peak),
+         u::format_fixed(r.stats.model_throughput, 0),
+         r.oom ? "0"
+               : u::format_fixed(
+                     static_cast<double>(batch) / r.stats.step_time, 6)});
     if (r.oom) {
       table.add_row({strategy, u::label("B", batch), "OOM", "-", "-"});
       continue;
@@ -146,21 +147,8 @@ int main(int argc, char** argv) {
   std::cout << table.render() << "\n";
   std::cout << "highest model throughput: " << best_point << "\n";
 
-  if (options.csv_enabled()) {
-    u::CsvWriter csv(options.csv_path,
-                     {"strategy", "batch", "oom", "activation_peak_bytes",
-                      "model_throughput_flops", "samples_per_s"});
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const RokPoint& r = outcomes[i].get();
-      const std::int64_t batch = points[i].i64("batch");
-      csv.add_row(
-          {points[i].str("strategy"), std::to_string(batch),
-           r.oom ? "1" : "0", std::to_string(r.stats.activation_peak),
-           u::format_fixed(r.stats.model_throughput, 0),
-           r.oom ? "0"
-                 : u::format_fixed(
-                       static_cast<double>(batch) / r.stats.step_time, 6)});
-    }
-  }
+  bench.write_csv({"strategy", "batch", "oom", "activation_peak_bytes",
+                   "model_throughput_flops", "samples_per_s"},
+                  rows);
   return 0;
 }

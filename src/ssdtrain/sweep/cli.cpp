@@ -1,12 +1,12 @@
 #include "ssdtrain/sweep/cli.hpp"
 
 #include <algorithm>
-
-#include "ssdtrain/sweep/chaos_exec.hpp"
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <string_view>
 
+#include "ssdtrain/sweep/chaos_exec.hpp"
 #include "ssdtrain/util/check.hpp"
 
 namespace ssdtrain::sweep {
@@ -150,7 +150,9 @@ CliOptions parse_cli(int argc, char** argv) {
       char* end = nullptr;
       errno = 0;
       const unsigned long long n = std::strtoull(text, &end, 10);
-      util::expects(end != text && *end == '\0' && errno != ERANGE,
+      // strtoull accepts a sign and wraps "-1" to 2^64-1: require a digit.
+      util::expects(std::isdigit(static_cast<unsigned char>(text[0])) &&
+                        end != text && *end == '\0' && errno != ERANGE,
                     "--fault-seed expects a non-negative integer, got '" +
                         std::string(text) + "'");
       options.fault_seed = static_cast<std::uint64_t>(n);
@@ -223,6 +225,10 @@ CliOptions parse_cli(int argc, char** argv) {
   // Validate the checkpoint cadence eagerly so contradictions (both
   // cadences, --ckpt-auto without --mtbf) surface at startup.
   (void)options.checkpoint_policy();
+  util::expects(options.mtbf == 0.0 || options.ckpt_auto,
+                "--mtbf only applies with --ckpt-auto");
+  util::expects(options.program_cache_dir.empty() || !options.no_program_cache,
+                "--program-cache DIR contradicts --no-program-cache");
   return options;
 }
 

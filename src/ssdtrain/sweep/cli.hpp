@@ -1,14 +1,24 @@
 #pragma once
 
 /// \file cli.hpp
-/// Shared command-line handling for the sweep-driven bench and example
-/// binaries: every one of them accepts
+/// Shared command-line parsing for the sweep-driven bench and example
+/// binaries. parse_cli accepts every flag below; sweep::BenchMain
+/// (bench_main.hpp) applies them. A binary whose grid shape cannot honour a
+/// flag rejects it by name at startup instead of dropping it: only the
+/// streamed binaries (bench_moe_offload, bench_cluster_scale,
+/// bench_resilience, bench_checkpoint, example_pipeline_bubbles) take
+/// --points/--shard/--chaos-exec, and the analytic benches (bench_fig1_trends,
+/// bench_fig5_lifespan, bench_fig8b_upscale) build no session and reject the
+/// session flags (--no-replay through --no-program-cache below, apart from
+/// --shard). The microbenches bench_sim_core, bench_step_replay and
+/// bench_program_cache call parse_cli themselves.
 ///   --workers N         worker threads for the SweepRunner (default: all
 ///                       cores)
 ///   --csv PATH          dump the sweep's data series as CSV via
 ///                       util::CsvWriter; when PATH already holds rows from
-///                       an earlier run, benches wired for resume skip the
+///                       an earlier run, the streamed binaries skip the
 ///                       completed points and append only the missing ones
+///                       (the others rewrite the file)
 ///   --points a=1,b=2    run only the grid cells whose coordinates match
 ///                       every listed axis=value pair (repeatable; values
 ///                       compare by their axis to_string form)
@@ -24,7 +34,7 @@
 ///                       of every session the bench builds (unset = the
 ///                       bench's own defaults, so golden CSVs reproduce
 ///                       bit-for-bit without the flags). --pp > 1 needs a
-///                       ClusterSession bench (bench_cluster_scale,
+///                       ClusterSession binary (bench_cluster_scale,
 ///                       bench_resilience, example_pipeline_bubbles): a
 ///                       TrainingSession runs the whole model on one GPU
 ///                       and rejects it, so every point of the other
@@ -48,8 +58,9 @@
 ///                       policy to recover), recover=resume|rollback
 ///                       (implied by lose; resume+lose=state and
 ///                       rollback+lose=none are rejected)
-///   --fault-seed N      seed for the injector's RNG (default 0); identical
-///                       seeds reproduce bit-identical fault runs
+///   --fault-seed N      seed for the injector's RNG (default 0; a nonzero
+///                       seed also reseeds a bench's own fault specs);
+///                       identical seeds reproduce bit-identical fault runs
 ///   --ckpt-interval N   crash-consistent checkpoint to the offload SSDs
 ///                       every N completed steps (shadow write + atomic
 ///                       manifest flip; flows contend with activation
@@ -59,6 +70,7 @@
 ///                       commits to measure the checkpoint cost C, then
 ///                       the interval is sqrt(2*C*MTBF). Requires --mtbf
 ///   --mtbf SECONDS      mean time between failures assumed by --ckpt-auto
+///                       (only valid with it)
 ///   --shard I/N         run only this process's 1/N slice of the grid:
 ///                       after --points filtering, position j of the
 ///                       selection belongs to shard j mod N. Shards are
@@ -74,12 +86,14 @@
 ///   --no-program-cache  disable the in-process program cache the benches
 ///                       share across their sweep points by default (the
 ///                       A/B switch for cold-trace comparisons; results are
-///                       bit-identical either way)
+///                       bit-identical either way; contradicts
+///                       --program-cache)
 ///   --chaos-exec SPEC   self-inflicted chaos for orchestrator testing
 ///                       (sweep::ChaosExec grammar: "kill:after=N[,tear=1]"
-///                       or "stall:after=N"): benches that stream their CSV
-///                       rows through sweep::CsvProgress SIGKILL/SIGSTOP
-///                       themselves after committing N rows. Normally
+///                       or "stall:after=N"): streamed binaries, which commit
+///                       their CSV rows through sweep::CsvProgress (so it
+///                       needs --csv), SIGKILL/SIGSTOP themselves after
+///                       committing N rows. Normally
 ///                       injected by sweep_orchestrate's seeded --chaos
 ///                       engine (grammar: "kind:rate=P[,after=N][,tear=1]
 ///                       [,kind:rate=P...]" with kinds kill|stall, seeded

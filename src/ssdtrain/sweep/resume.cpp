@@ -87,23 +87,17 @@ CsvResume::CsvResume(const std::string& path,
   }
 }
 
-bool CsvResume::contains(const SweepPoint& point) const {
-  std::vector<std::string> key;
-  key.reserve(point.coordinates().size());
-  for (const auto& [name, value] : point.coordinates()) {
-    (void)name;
-    key.push_back(to_string(value));
-  }
-  key.resize(key_columns_.size());
-  return contains(key);
-}
-
 std::vector<SweepPoint> CsvResume::remaining(
-    std::vector<SweepPoint> points) const {
+    std::vector<SweepPoint> points,
+    const std::function<std::vector<std::string>(const SweepPoint&)>& key)
+    const {
   if (!resuming_) return points;
   std::vector<SweepPoint> todo;
   for (SweepPoint& point : points) {
-    if (!contains(point)) todo.push_back(std::move(point));
+    const std::vector<std::string> cells = key(point);
+    util::expects(cells.size() == key_columns_.size(),
+                  "resume key must yield one cell per key column");
+    if (!contains(cells)) todo.push_back(std::move(point));
   }
   return todo;
 }

@@ -7,6 +7,7 @@
 /// rows are computed and appended. The key columns are the leading CSV
 /// columns that identify a grid cell (they mirror the sweep axes).
 
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -46,14 +47,14 @@ class CsvResume {
     return seen_.contains(key);
   }
 
-  /// Point-shaped convenience: the key is the point's coordinates in axis
-  /// order, rendered with sweep::to_string — matching benches that write
-  /// their axis columns the same way.
-  [[nodiscard]] bool contains(const SweepPoint& point) const;
-
-  /// The subset of \p points not yet present in the file.
+  /// The subset of \p points not yet present in the file, in order. A
+  /// point's row is found by its key(point) cells, one per key column: by
+  /// default its coordinates rendered with sweep::to_string, or the
+  /// bench's own rendering (a fixed-point "0.0100" rate).
   [[nodiscard]] std::vector<SweepPoint> remaining(
-      std::vector<SweepPoint> points) const;
+      std::vector<SweepPoint> points,
+      const std::function<std::vector<std::string>(const SweepPoint&)>& key =
+          axis_cells) const;
 
  private:
   std::vector<std::string> key_columns_;

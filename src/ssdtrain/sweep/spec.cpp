@@ -54,6 +54,15 @@ const std::string& SweepPoint::str(std::string_view axis) const {
   return *s;
 }
 
+std::vector<std::string> axis_cells(const SweepPoint& point) {
+  std::vector<std::string> cells;
+  for (const auto& [name, value] : point.coordinates()) {
+    (void)name;
+    cells.push_back(to_string(value));
+  }
+  return cells;
+}
+
 std::string SweepPoint::label() const {
   std::string out;
   for (const auto& [name, v] : coordinates_) {

@@ -22,6 +22,12 @@ using AxisValue = std::variant<std::int64_t, double, std::string>;
 /// "12288", "0.25", or the string itself — used for labels and CSV cells.
 [[nodiscard]] std::string to_string(const AxisValue& value);
 
+class SweepPoint;
+
+/// The point's coordinates in axis order, each rendered with to_string: the
+/// CSV key cells of a bench that writes its axes that way.
+[[nodiscard]] std::vector<std::string> axis_cells(const SweepPoint& point);
+
 /// One cell of the grid: a deterministic index plus named coordinates.
 class SweepPoint {
  public:

@@ -2,8 +2,9 @@
 // end. This binary is dual-mode — run as `test_orchestrate` it is a normal
 // gtest suite; run as `test_orchestrate orchestrate-worker ...` it becomes
 // a tiny but *real* sweep worker (sweep::select_points + CsvResume +
-// CsvProgress + ChaosExec, the exact machinery the benches use) whose
-// misbehaviour is scripted by positional tokens:
+// CsvProgress + ChaosExec, the machinery sweep::BenchMain's streamed shape
+// runs for the benches) whose misbehaviour is scripted by positional
+// tokens:
 //
 //   grid=N           sweep size (axis "i" = 0..N-1; row value = i*i+7)
 //   crash-times=K    exit nonzero after committing one row, on the first K

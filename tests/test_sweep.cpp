@@ -1,6 +1,7 @@
 // Unit tests for the parallel sweep engine: SweepSpec grid enumeration,
-// SweepRunner determinism across worker counts, error isolation, and the
-// CLI option parsing the bench binaries share.
+// SweepRunner determinism across worker counts, error isolation, the CLI
+// option parsing the bench binaries share, and the BenchMain harness that
+// applies it.
 
 #include <gtest/gtest.h>
 
@@ -16,13 +17,19 @@
 #include <fstream>
 #include <sstream>
 
+#include "ssdtrain/runtime/cluster_session.hpp"
+#include "ssdtrain/runtime/program_cache.hpp"
+#include "ssdtrain/runtime/session.hpp"
+#include "ssdtrain/sweep/bench_main.hpp"
 #include "ssdtrain/sweep/cli.hpp"
 #include "ssdtrain/sweep/resume.hpp"
 #include "ssdtrain/sweep/runner.hpp"
 #include "ssdtrain/sweep/spec.hpp"
 #include "ssdtrain/util/check.hpp"
 #include "ssdtrain/util/csv.hpp"
+#include "ssdtrain/util/units.hpp"
 
+namespace rt = ssdtrain::runtime;
 namespace sweep = ssdtrain::sweep;
 namespace u = ssdtrain::util;
 
@@ -678,4 +685,288 @@ TEST(SweepCli, ShardPartitionsTheSelectionRoundRobin) {
       spec, sweep::parse_cli(5, const_cast<char**>(filtered)));
   ASSERT_EQ(only.size(), 1u);
   EXPECT_EQ(only[0].i64("a"), 3);
+}
+
+TEST(SweepCli, FaultSeedTakesOnlyNonNegativeIntegers) {
+  const char* zero[] = {"bench", "--fault-seed", "0"};
+  EXPECT_EQ(sweep::parse_cli(3, const_cast<char**>(zero)).fault_seed, 0u);
+  const char* seed[] = {"bench", "--fault-seed", "42"};
+  EXPECT_EQ(sweep::parse_cli(3, const_cast<char**>(seed)).fault_seed, 42u);
+  const char* max[] = {"bench", "--fault-seed", "18446744073709551615"};
+  EXPECT_EQ(sweep::parse_cli(3, const_cast<char**>(max)).fault_seed,
+            18446744073709551615u);
+
+  // strtoull would wrap "-1" to 2^64-1; a sign or blank is not a seed.
+  for (const char* bad : {"-1", "+1", " 1", "", "1x", "18446744073709551616"}) {
+    const char* argv[] = {"bench", "--fault-seed", bad};
+    EXPECT_THROW(sweep::parse_cli(3, const_cast<char**>(argv)),
+                 u::ContractViolation)
+        << "'" << bad << "'";
+  }
+  const char* missing[] = {"bench", "--fault-seed"};
+  EXPECT_THROW(sweep::parse_cli(2, const_cast<char**>(missing)),
+               u::ContractViolation);
+}
+
+TEST(SweepCli, RejectsFlagsThatWouldBeDropped) {
+  // --mtbf only feeds --ckpt-auto; alone it would change nothing.
+  const char* mtbf[] = {"bench", "--mtbf", "30"};
+  EXPECT_THROW(sweep::parse_cli(3, const_cast<char**>(mtbf)),
+               u::ContractViolation);
+  const char* both_caches[] = {"bench", "--program-cache", "/tmp/progs",
+                               "--no-program-cache"};
+  EXPECT_THROW(sweep::parse_cli(4, const_cast<char**>(both_caches)),
+               u::ContractViolation);
+}
+
+namespace {
+
+using Shape = sweep::BenchMain::Shape;
+
+/// Owns an argv array for BenchMain: "bench" followed by \p args.
+struct Argv {
+  std::vector<std::string> args;
+  std::vector<char*> ptrs;
+
+  explicit Argv(std::vector<std::string> flags) : args(std::move(flags)) {
+    args.insert(args.begin(), "bench");
+    for (std::string& arg : args) ptrs.push_back(arg.data());
+  }
+  int argc() const { return static_cast<int>(ptrs.size()); }
+  char** argv() { return ptrs.data(); }
+};
+
+/// Expects BenchMain to refuse \p flags under \p shape with a message that
+/// names \p flag.
+void expect_rejected(Shape shape, std::vector<std::string> flags,
+                     const std::string& flag) {
+  Argv argv(std::move(flags));
+  try {
+    sweep::BenchMain bench(argv.argc(), argv.argv(), shape);
+    ADD_FAILURE() << flag << " was accepted";
+  } catch (const u::ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+        << e.what();
+  }
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+}  // namespace
+
+TEST(BenchMain, SessionFlagsLandOnSessionAndClusterConfigs) {
+  Argv argv({"--no-replay", "--pp", "2", "--tp", "4", "--dp", "3", "--zero",
+             "3", "--faults", "gpu-straggler:factor=3", "--fault-seed", "9",
+             "--ckpt-interval", "5", "--program-cache",
+             ::testing::TempDir() + "bench_main_progs"});
+  const sweep::BenchMain bench(argv.argc(), argv.argv(), Shape::batch);
+
+  rt::SessionConfig session;
+  rt::ClusterConfig cluster;
+  for (rt::SessionOptions* options :
+       {static_cast<rt::SessionOptions*>(&session),
+        static_cast<rt::SessionOptions*>(&cluster)}) {
+    options->parallel.tensor_parallel = 2;  // a bench default, overridden
+    bench.configure(*options);
+    EXPECT_FALSE(options->use_replay);
+    EXPECT_EQ(options->parallel.pipeline_parallel, 2);
+    EXPECT_EQ(options->parallel.tensor_parallel, 4);
+    EXPECT_EQ(options->parallel.data_parallel, 3);
+    EXPECT_EQ(options->parallel.zero, ssdtrain::parallel::ZeroStage::stage3);
+    ASSERT_EQ(options->faults.specs.size(), 1u);
+    EXPECT_EQ(options->faults.specs[0].kind,
+              ssdtrain::fault::FaultKind::gpu_straggler);
+    EXPECT_EQ(options->faults.seed, 9u);
+    EXPECT_EQ(options->checkpoint.every_steps, 5);
+    ASSERT_NE(options->program_cache, nullptr);
+    EXPECT_TRUE(options->program_cache->has_directory());
+  }
+  // Every session of the binary shares the one cache.
+  EXPECT_EQ(session.program_cache, cluster.program_cache);
+
+  // --ckpt-auto --mtbf replace the bench's cadence; a nonzero --fault-seed
+  // without --faults reseeds the bench's own specs.
+  Argv auto_argv({"--ckpt-auto", "--mtbf", "30", "--fault-seed", "11"});
+  const sweep::BenchMain auto_bench(auto_argv.argc(), auto_argv.argv(),
+                                    Shape::streamed);
+  rt::ClusterConfig own;
+  own.faults.specs.resize(1);
+  own.faults.seed = 7;
+  own.checkpoint.every_steps = 4;
+  auto_bench.configure(own);
+  EXPECT_EQ(own.faults.specs.size(), 1u);
+  EXPECT_EQ(own.faults.seed, 11u);
+  EXPECT_EQ(own.checkpoint.every_steps, 0);
+  EXPECT_TRUE(own.checkpoint.auto_interval);
+  EXPECT_DOUBLE_EQ(own.checkpoint.mtbf, 30.0);
+}
+
+TEST(BenchMain, WithoutFlagsConfigureSetsOnlyTheProgramCache) {
+  Argv argv({});
+  const sweep::BenchMain bench(argv.argc(), argv.argv(), Shape::batch);
+
+  rt::SessionConfig before;
+  before.parallel.tensor_parallel = 2;
+  before.faults.specs.resize(1);
+  before.faults.seed = 7;
+  before.checkpoint.every_steps = 4;
+  rt::SessionConfig after = before;
+  bench.configure(after);
+  // The program key covers model, parallelism, machine, strategy, knobs and
+  // faults; the rest of what configure() may touch is compared directly.
+  EXPECT_EQ(rt::session_program_key(after).text,
+            rt::session_program_key(before).text);
+  EXPECT_EQ(after.use_replay, before.use_replay);
+  EXPECT_EQ(after.faults.seed, before.faults.seed);
+  EXPECT_EQ(after.checkpoint.every_steps, before.checkpoint.every_steps);
+  EXPECT_FALSE(after.checkpoint.auto_interval);
+  EXPECT_NE(after.program_cache, nullptr);
+
+  rt::ClusterConfig cluster;
+  cluster.parallel.pipeline_parallel = 4;
+  bench.configure(cluster);
+  EXPECT_EQ(cluster.parallel.pipeline_parallel, 4);
+  EXPECT_EQ(cluster.parallel.tensor_parallel, 1);
+  EXPECT_TRUE(cluster.use_replay);
+  EXPECT_FALSE(cluster.faults.enabled());
+  EXPECT_FALSE(cluster.checkpoint.enabled());
+  EXPECT_EQ(cluster.program_cache, after.program_cache);
+
+  Argv cold({"--no-program-cache"});
+  const sweep::BenchMain cold_bench(cold.argc(), cold.argv(), Shape::batch);
+  rt::SessionConfig uncached;
+  cold_bench.configure(uncached);
+  EXPECT_EQ(uncached.program_cache, nullptr);
+}
+
+TEST(BenchMain, ShapesRejectFlagsTheyCannotHonour) {
+  for (const Shape shape : {Shape::batch, Shape::analytic}) {
+    expect_rejected(shape, {"--points", "a=1"}, "--points");
+    expect_rejected(shape, {"--shard", "1/2"}, "--shard");
+    expect_rejected(shape, {"--csv", ::testing::TempDir() + "unused.csv",
+                            "--chaos-exec", "kill:after=1"},
+                    "--chaos-exec");
+  }
+  // Chaos fires at committed CSV rows, so a streamed run needs --csv.
+  expect_rejected(Shape::streamed, {"--chaos-exec", "kill:after=1"},
+                  "--chaos-exec");
+
+  // A session-less binary refuses every session flag by name; a batch
+  // binary takes them all.
+  const std::vector<std::vector<std::string>> session_flags = {
+      {"--no-replay"},
+      {"--pp", "2"},
+      {"--tp", "2"},
+      {"--dp", "2"},
+      {"--zero", "1"},
+      {"--faults", "io-error:rate=0.1"},
+      {"--fault-seed", "3"},
+      {"--ckpt-interval", "2"},
+      {"--ckpt-auto", "--mtbf", "5"},
+      {"--program-cache", ::testing::TempDir() + "bench_main_progs"},
+      {"--no-program-cache"},
+  };
+  for (const auto& flags : session_flags) {
+    expect_rejected(Shape::analytic, flags, flags.front());
+    Argv argv(flags);
+    EXPECT_NO_THROW(sweep::BenchMain(argv.argc(), argv.argv(), Shape::batch))
+        << flags.front();
+  }
+  Argv plain({"--workers", "2", "--retries", "1", "--point-timeout", "9"});
+  EXPECT_NO_THROW(
+      sweep::BenchMain(plain.argc(), plain.argv(), Shape::analytic));
+}
+
+TEST(BenchMain, BatchRunReturnsValuesInOrderOrNothing) {
+  Argv argv({"--workers", "2"});
+  sweep::BenchMain bench(argv.argc(), argv.argv(), Shape::batch);
+  const auto squares =
+      bench.run(std::vector<int>{1, 2, 3}, [](int x) { return x * x; });
+  ASSERT_TRUE(squares.has_value());
+  EXPECT_EQ(*squares, (std::vector<int>{1, 4, 9}));
+  EXPECT_EQ(bench.exit_code(), 0);
+
+  const auto holed = bench.run(std::vector<int>{1, 2, 3}, [](int x) {
+    if (x == 2) throw std::runtime_error("boom");
+    return x;
+  });
+  EXPECT_FALSE(holed.has_value());
+  EXPECT_EQ(bench.exit_code(), 1);
+}
+
+TEST(BenchMain, StreamedResumesFixedPointKeysAndAppendsOnlyMissingRows) {
+  TempCsv tmp("bench_main_resume.csv");
+  sweep::SweepSpec spec;
+  spec.axis("rate", std::vector<double>{0.0, 0.01})
+      .axis("strategy", std::vector<std::string>{"a", "b"});
+  const sweep::Cells header = {"rate", "strategy", "value"};
+  // The bench's own key cells: fixed-point rates, as bench_resilience
+  // writes them ("0.0100", where sweep::to_string gives "0.01").
+  const auto key = [](const sweep::SweepPoint& p) -> sweep::Cells {
+    return {u::format_fixed(p.f64("rate"), 4), p.str("strategy")};
+  };
+  const auto value = [](const std::string& v) -> sweep::Cells { return {v}; };
+  {
+    // An earlier run that finished two cells and died mid-row.
+    std::ofstream out(tmp.path, std::ios::binary);
+    out << "rate,strategy,value\n0.0000,a,0.0000a\n0.0100,b,0.0100b\n0.01";
+  }
+
+  std::atomic<int> measured{0};
+  Argv argv({"--csv", tmp.path, "--workers", "2"});
+  sweep::BenchMain bench(argv.argc(), argv.argv(), Shape::streamed);
+  const auto done = bench.stream(
+      spec, header,
+      [&measured, &key](const sweep::SweepPoint& p) {
+        ++measured;
+        const sweep::Cells cells = key(p);
+        return cells[0] + cells[1];
+      },
+      value, key);
+
+  EXPECT_EQ(measured.load(), 2);
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].second, "0.0000b");
+  EXPECT_EQ(done[1].second, "0.0100a");
+  EXPECT_EQ(bench.exit_code(), 0);
+  EXPECT_EQ(read_file(tmp.path),
+            "rate,strategy,value\n0.0000,a,0.0000a\n0.0100,b,0.0100b\n"
+            "0.0000,b,0.0000b\n0.0100,a,0.0100a\n");
+
+  // A finished file leaves nothing to run.
+  Argv again({"--csv", tmp.path});
+  sweep::BenchMain rerun(again.argc(), again.argv(), Shape::streamed);
+  EXPECT_TRUE(rerun
+                  .stream(
+                      spec, header,
+                      [](const sweep::SweepPoint&) -> std::string {
+                        throw std::runtime_error("must not run");
+                      },
+                      value, key)
+                  .empty());
+  EXPECT_EQ(rerun.exit_code(), 0);
+}
+
+TEST(BenchMain, StreamedHonoursPointsAndShardWithDefaultKeys) {
+  TempCsv tmp("bench_main_shard.csv");
+  sweep::SweepSpec spec;
+  spec.axis("a", std::vector<std::int64_t>{0, 1, 2, 3})
+      .axis("b", std::vector<std::string>{"x", "y"});
+  Argv argv({"--csv", tmp.path, "--points", "b=y", "--shard", "1/2"});
+  sweep::BenchMain bench(argv.argc(), argv.argv(), Shape::streamed);
+  const auto done = bench.stream(
+      spec, {"a", "b", "twice"},
+      [](const sweep::SweepPoint& p) { return 2 * p.i64("a"); },
+      [](std::int64_t twice) -> sweep::Cells {
+        return {std::to_string(twice)};
+      });
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].first.i64("a"), 1);
+  EXPECT_EQ(done[1].first.i64("a"), 3);
+  EXPECT_EQ(read_file(tmp.path), "a,b,twice\n1,y,2\n3,y,6\n");
 }

@@ -18,9 +18,12 @@
 ///
 /// Everything after `--` is the worker command; the driver appends
 /// `--csv <workdir>/shard-I.csv --shard I/N` (and a --chaos-exec spec when
-/// seeded chaos draws one) per launch. Workers must be sweep::cli benches
-/// wired for resumable CSVs (the chaos acceptance property additionally
-/// needs sweep::CsvProgress streaming commits — e.g. bench_moe_offload).
+/// seeded chaos draws one) per launch. Workers must be streamed
+/// sweep::BenchMain binaries (bench_moe_offload, bench_cluster_scale,
+/// bench_resilience, bench_checkpoint, example_pipeline_bubbles): they take
+/// --shard and --chaos-exec, commit CSV rows in grid order and resume from
+/// their CSVs. A batch bench rejects --shard, so every launch fails and the
+/// run exits 1 instead of merging a duplicated grid.
 ///
 /// Exit codes: 0 merged and verified, 1 shards failed or the merge was
 /// refused, 2 usage error.

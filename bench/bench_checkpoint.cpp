@@ -232,7 +232,8 @@ int run_verify(sweep::BenchMain& bench) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::streamed);
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::streamed,
+                         {"smoke", "verify"});
   if (bench.mode("verify")) return run_verify(bench);
 
   std::vector<std::int64_t> intervals = {2, 4, 8, 16};

@@ -75,7 +75,8 @@ ScalePoint measure(const sweep::BenchMain& bench,
 }  // namespace
 
 int main(int argc, char** argv) {
-  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::streamed);
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::streamed,
+                         {"smoke"});
 
   std::vector<std::int64_t> depths = {1, 2, 4};
   std::vector<std::string> strategies = {"keep-in-gpu", "ssdtrain"};

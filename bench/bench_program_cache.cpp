@@ -169,6 +169,10 @@ std::string format_rate(const Result& r) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
+  sweep::reject_flags_except(
+      options, {"--csv", "--pp", "--tp", "--dp", "--zero"},
+      "this microbench applies only --csv and --pp/--tp/--dp/--zero");
+  sweep::reject_positionals(options, {"smoke"});
   g_cli = options;
   const bool smoke =
       !options.positional.empty() && options.positional[0] == "smoke";

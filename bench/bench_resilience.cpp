@@ -206,7 +206,8 @@ ResiliencePoint measure(const sweep::BenchMain& bench,
 }  // namespace
 
 int main(int argc, char** argv) {
-  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::streamed);
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::streamed,
+                         {"smoke"});
 
   std::vector<double> rates = {0.0, 0.01, 0.05};
   std::vector<std::string> strategies = {"ssdtrain", "ssdtrain+recompute"};

@@ -211,6 +211,9 @@ std::string format_allocs_per_event(const Result& r) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
+  sweep::reject_flags_except(options, {"--csv"},
+                             "this microbench applies only --csv");
+  sweep::reject_positionals(options, {"smoke"});
   const bool smoke =
       !options.positional.empty() && options.positional[0] == "smoke";
   // Smoke sizes keep the ASan/TSan legs quick; the full sizes give stable

@@ -61,7 +61,8 @@ struct RokPoint {
 }  // namespace
 
 int main(int argc, char** argv) {
-  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::batch);
+  sweep::BenchMain bench(argc, argv, sweep::BenchMain::Shape::batch,
+                         sweep::BenchMain::OwnPositionals{});
   const auto& args = bench.cli().positional;
   const std::int64_t hidden = !args.empty() ? std::atoll(args[0].c_str())
                                             : 12288;

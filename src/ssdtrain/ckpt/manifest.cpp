@@ -1,85 +1,22 @@
 #include "ssdtrain/ckpt/manifest.hpp"
 
-#include <bit>
 #include <cstdint>
 #include <cstring>
+
+#include "ssdtrain/util/binary_io.hpp"
 
 namespace ssdtrain::ckpt {
 
 namespace {
 
+using util::fnv1a;
+using util::put_f64;
+using util::put_u32;
+using util::put_u64;
+using util::put_u8;
+
 constexpr char kMagic[8] = {'S', 'S', 'D', 'T', 'C', 'K', 'P', '\n'};
 constexpr std::uint8_t kCommitMarker = 1;
-
-std::uint64_t fnv1a(std::string_view data) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    put_u8(out, static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    put_u8(out, static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void put_f64(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-/// Bounds-checked little-endian reader; reads past the end set failed()
-/// and return zeros rather than touching out-of-range memory.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  [[nodiscard]] bool failed() const { return failed_; }
-  [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
-
-  std::uint8_t u8() {
-    if (pos_ >= data_.size()) {
-      failed_ = true;
-      return 0;
-    }
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      v |= static_cast<std::uint32_t>(u8()) << shift;
-    }
-    return v;
-  }
-
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 8) {
-      v |= static_cast<std::uint64_t>(u8()) << shift;
-    }
-    return v;
-  }
-
-  double f64() { return std::bit_cast<double>(u64()); }
-
- private:
-  std::string_view data_;
-  std::size_t pos_ = 0;
-  bool failed_ = false;
-};
 
 bool fail(std::string* error, const char* reason) {
   if (error != nullptr) *error = reason;
@@ -133,7 +70,7 @@ bool deserialize_manifest(std::string_view data, CheckpointManifest& out,
   if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
     return fail(error, "not a checkpoint manifest (bad magic)");
   }
-  Reader header(data.substr(sizeof(kMagic)));
+  util::ByteReader header(data.substr(sizeof(kMagic)));
   const std::uint32_t version = header.u32();
   if (version != kManifestFormatVersion) {
     return fail(error, "checkpoint manifest format version mismatch");
@@ -145,7 +82,7 @@ bool deserialize_manifest(std::string_view data, CheckpointManifest& out,
                        "corrupt)");
   }
 
-  Reader reader(payload);
+  util::ByteReader reader(payload);
   CheckpointManifest m;
   m.sequence = reader.u64();
   m.step = reader.u64();

@@ -52,9 +52,7 @@ CheckpointCommit CheckpointWriter::write(std::uint64_t step) {
   gen.step = step;
   gen.extents.reserve(stages_.size());
   std::size_t inflight = 0;
-  std::vector<sim::TimePoint> shard_done(stages_.size(), start);
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    const Stage& stage = stages_[i];
+  for (const Stage& stage : stages_) {
     auto& array = node_.array(stage.gpu);
     hw::ArrayExtent extent = array.allocate_extent(stage.bytes());
     array.record_write(extent);
@@ -64,10 +62,7 @@ CheckpointCommit CheckpointWriter::write(std::uint64_t step) {
         util::Label("ckpt-write"), stage.bytes(),
         use_gds_ ? node_.gds_write_path(stage.gpu)
                  : node_.bounce_write_path(stage.gpu),
-        [&sim, &inflight, &shard_done, i] {
-          --inflight;
-          shard_done[i] = sim.now();
-        });
+        [&inflight] { --inflight; });
   }
   sim.run();
   util::check(inflight == 0, "checkpoint bulk flows failed to drain");
@@ -82,8 +77,7 @@ CheckpointCommit CheckpointWriter::write(std::uint64_t step) {
     manifest.shards.push_back(CheckpointManifest::Shard{
         stage.gpu, stage.chunk, stage.weight_bytes, stage.optimizer_bytes});
   }
-  const sim::TimePoint flip_start = sim.now();
-  manifest.sim_time = flip_start;
+  manifest.sim_time = sim.now();
   std::string blob = serialize_manifest(manifest);
   gen.manifest_gpu = stages_.front().gpu;
   auto& manifest_array = node_.array(gen.manifest_gpu);
@@ -105,20 +99,6 @@ CheckpointCommit CheckpointWriter::write(std::uint64_t step) {
   const auto total =
       bulk + static_cast<util::Bytes>(gen.blob.size());
   bytes_written_ += total;
-
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    events_.push_back(CheckpointEvent{
-        CheckpointEvent::Kind::write, stages_[i].gpu, start, shard_done[i],
-        stages_[i].bytes(), manifest.sequence,
-        "ckpt #" + std::to_string(manifest.sequence) + " gpu " +
-            std::to_string(stages_[i].gpu) + " chunk " +
-            std::to_string(stages_[i].chunk)});
-  }
-  events_.push_back(CheckpointEvent{
-      CheckpointEvent::Kind::write, -1, flip_start, gen.committed_at,
-      static_cast<util::Bytes>(gen.blob.size()), manifest.sequence,
-      "ckpt #" + std::to_string(manifest.sequence) + " commit (step " +
-          std::to_string(step) + ")"});
 
   committed_.push_back(std::move(gen));
   // Phase 3: evict the grandparent — its extents only became safe to reuse
@@ -142,21 +122,14 @@ RestoreResult CheckpointWriter::restore(const std::vector<int>& gpus) {
   const Committed* chosen = nullptr;
   CheckpointManifest manifest;
   for (auto it = committed_.rbegin(); it != committed_.rend(); ++it) {
-    std::string error;
-    if (deserialize_manifest(it->blob, manifest, &error)) {
+    if (deserialize_manifest(it->blob, manifest)) {
       chosen = &*it;
       break;
     }
     ++result.manifests_rejected;
-    events_.push_back(CheckpointEvent{CheckpointEvent::Kind::restore, -1,
-                                      sim.now(), sim.now(), 0, 0,
-                                      "rejected checkpoint blob: " + error});
   }
   if (chosen == nullptr) {
     // Nothing committed (or everything torn): cold restart from step 0.
-    events_.push_back(CheckpointEvent{
-        CheckpointEvent::Kind::restore, -1, start, sim.now(), 0, 0,
-        "no committed checkpoint — cold restart from step 0"});
     return result;
   }
 
@@ -187,11 +160,6 @@ RestoreResult CheckpointWriter::restore(const std::vector<int>& gpus) {
   result.step = manifest.step;
   result.time = sim.now() - start;
   result.bytes = bytes;
-  events_.push_back(CheckpointEvent{
-      CheckpointEvent::Kind::restore, -1, start, sim.now(), bytes,
-      manifest.sequence,
-      "restore ckpt #" + std::to_string(manifest.sequence) +
-          " -> rollback to step " + std::to_string(manifest.step)});
   return result;
 }
 

@@ -30,18 +30,6 @@
 
 namespace ssdtrain::ckpt {
 
-/// One committed (or attempted-restore) event for the trace timeline.
-struct CheckpointEvent {
-  enum class Kind { write, restore };
-  Kind kind = Kind::write;
-  int gpu = -1;  ///< -1 for the whole-commit span (manifest flip)
-  sim::TimePoint start = 0.0;
-  sim::TimePoint end = 0.0;
-  util::Bytes bytes = 0;
-  std::uint64_t sequence = 0;
-  std::string detail;
-};
-
 /// Result of one committed checkpoint.
 struct CheckpointCommit {
   std::uint64_t sequence = 0;
@@ -100,12 +88,6 @@ class CheckpointWriter {
   /// Commit instant of the newest committed checkpoint (0 if none).
   [[nodiscard]] sim::TimePoint last_commit_time() const;
 
-  /// Trace timeline: every per-GPU shard write/read span plus the
-  /// whole-commit spans, in time order.
-  [[nodiscard]] const std::vector<CheckpointEvent>& events() const {
-    return events_;
-  }
-
   /// Test hook: flips one byte in the committed blob \p newest_offset
   /// generations back from the newest (0 = newest), simulating a torn or
   /// corrupted manifest that restore() must reject and fall back past.
@@ -141,7 +123,6 @@ class CheckpointWriter {
   std::vector<Committed> committed_;  ///< oldest first; newest at the back
   std::uint64_t sequence_ = 0;
   util::Bytes bytes_written_ = 0;
-  std::vector<CheckpointEvent> events_;
 };
 
 }  // namespace ssdtrain::ckpt

@@ -21,6 +21,13 @@
 ///   * release: when every module scope that referenced an activation has
 ///     finished its backward, the reference is dropped (Python GC analogue)
 ///     and the SSD extent is trimmed.
+///
+/// A step's entries live in one dense table and move through one state
+/// machine, addressed by index (keep, store, unpack, load, prefetch,
+/// release). The trace path decides each transition from TensorId-keyed
+/// per-micro-batch records and assigns a new entry its index at pack time;
+/// a replayed step (runtime::Executor::replay) takes the same transitions
+/// at the indices its program recorded.
 
 #include <cstdint>
 #include <limits>
@@ -96,8 +103,21 @@ class TensorCache {
   /// Why a pack kept the tensor in GPU memory (Alg. 1 lines 5-6).
   enum class KeepReason : std::uint8_t { budget, backward, scope };
 
-  /// Observer for the step recorder: every pack/unpack/prefetch/release
-  /// decision the cache makes during the recorded step is reported here so
+  /// Record-time constants of one entry: the stable TensorId the offloader
+  /// files the extent under, and the interned label plus shape/dtype/bytes
+  /// a reload is rebuilt from. The trace path appends one per new entry as
+  /// it packs; a recorded program keeps that table, and its replays address
+  /// it by index.
+  struct EntryInfo {
+    tensor::TensorId id;
+    util::Label label;
+    tensor::TensorShape shape;
+    tensor::DType dtype = tensor::DType::fp16;
+    util::Bytes bytes = 0;
+  };
+
+  /// Observer for the step recorder: every entry transition the cache takes
+  /// during the recorded step is reported here, with the entry's index, so
   /// runtime::StepRecorder can compile it into a StepProgram op. Pure
   /// observation — the trace path behaves identically with or without it.
   class TraceRecorder {
@@ -105,32 +125,18 @@ class TensorCache {
     virtual ~TraceRecorder() = default;
     virtual void cache_pack_passthrough(PassKind kind) = 0;
     virtual void cache_pack_dedup() = 0;
-    virtual void cache_pack_keep(const tensor::Tensor& t,
-                                 const tensor::TensorId& id,
+    virtual void cache_pack_keep(const tensor::Tensor& t, std::uint32_t entry,
                                  KeepReason reason) = 0;
     /// A store *attempt* (replay re-attempts and handles refusal itself).
     virtual void cache_pack_store(const tensor::Tensor& t,
-                                  const tensor::TensorId& id) = 0;
+                                  std::uint32_t entry) = 0;
     virtual void cache_unpack_passthrough() = 0;
-    virtual void cache_unpack_entry(const tensor::TensorId& id,
+    virtual void cache_unpack_entry(std::uint32_t entry,
                                     const tensor::Tensor& result) = 0;
     /// Prefetch window candidates, in trace iteration order (replay
     /// re-checks each candidate's live state, exactly as the trace does).
-    virtual void cache_prefetch(
-        std::span<const tensor::TensorId> candidates) = 0;
-    virtual void cache_release(const tensor::TensorId& id) = 0;
-  };
-
-  /// Record-time constants of one replay entry: everything the dense
-  /// replay path needs that the trace path recomputed from strings and
-  /// maps (interned labels, byte/shape metadata, the stable TensorId the
-  /// offloader files the extent under).
-  struct ReplayEntryInit {
-    tensor::TensorId id;
-    util::Label label;
-    tensor::TensorShape shape;
-    tensor::DType dtype = tensor::DType::fp16;
-    util::Bytes bytes = 0;
+    virtual void cache_prefetch(std::span<const std::uint32_t> candidates) = 0;
+    virtual void cache_release(std::uint32_t entry) = 0;
   };
 
   TensorCache(sim::Simulator& sim, Offloader& offloader,
@@ -166,34 +172,46 @@ class TensorCache {
   /// while runtime::Executor records a step.
   void set_trace_recorder(TraceRecorder* recorder) { recorder_ = recorder; }
 
-  /// The dense slot-indexed fast path resolved at record time (the
-  /// TensorId-keyed maps stay on the trace path): replayed steps address
-  /// entries by index into \p inits, which must outlive the replay (the
-  /// StepProgram owns it). State transitions, stats, forwarding, refusal
-  /// fallback, and wasted-store accounting mirror pack/unpack exactly.
-  void replay_begin(std::span<const ReplayEntryInit> inits);
-  void replay_pack_passthrough(PassKind kind);
-  void replay_pack_dedup();
-  void replay_pack_keep(std::uint32_t index, const tensor::Tensor& t,
-                        KeepReason reason);
-  void replay_pack_store(std::uint32_t index, const tensor::Tensor& t);
-  void replay_unpack_passthrough();
-  [[nodiscard]] tensor::Tensor replay_unpack(std::uint32_t index);
-  void replay_prefetch(std::span<const std::uint32_t> candidates);
-  void replay_release(std::uint32_t index);
+  /// Starts a replayed step on \p table, the recorded program's entry table
+  /// (it must outlive the step): every entry starts unpacked, and the
+  /// transitions below address them by index.
+  void begin_replay(std::span<const EntryInfo> table);
 
-  /// Replay entries not yet released (diagnostics/tests).
-  [[nodiscard]] std::size_t replay_live_entries() const;
-  /// Live state of a replay entry (tests).
-  [[nodiscard]] EntryState replay_entry_state(std::uint32_t index) const;
+  // -- entry transitions -----------------------------------------------------
+  /// The one per-entry state machine, addressed by the entry's index in
+  /// entry_table(). The pack/unpack hooks call these once Alg. 1 has decided
+  /// what to do with a tensor; Executor::replay calls them with the
+  /// decisions its program recorded. Entry states, forwarding, refusal
+  /// fallback and wasted-store accounting are evaluated live either way.
+  void pack_passthrough(PassKind kind);
+  void pack_dedup();
+  /// Alg. 1 line 6: keeps \p t in GPU memory as entry \p index.
+  void keep(std::uint32_t index, const tensor::Tensor& t, KeepReason reason);
+  /// Alg. 1 line 7: starts storing \p t as entry \p index, or keeps it when
+  /// the offloader refuses. Returns whether a store started.
+  bool store(std::uint32_t index, const tensor::Tensor& t);
+  void unpack_passthrough();
+  /// Alg. 1 lines 11-12: returns the kept/loaded tensor, forwards an
+  /// in-flight store, or starts/joins the load that gates the consumers.
+  [[nodiscard]] tensor::Tensor unpack_entry(std::uint32_t index);
+  /// Starts a load for every candidate still packed and offloaded.
+  void prefetch(std::span<const std::uint32_t> candidates);
+  /// Drops the cache's reference and trims the offloaded copy.
+  void release(std::uint32_t index);
 
   // -- introspection ---------------------------------------------------------
   [[nodiscard]] const TensorCacheStats& stats() const { return stats_; }
   [[nodiscard]] bool is_weight(const tensor::Tensor& t) const;
   [[nodiscard]] bool in_backward() const { return in_backward_; }
   [[nodiscard]] int current_micro_batch() const { return current_mb_; }
+  /// Entries packed this step and not yet released.
   [[nodiscard]] std::size_t tracked_entries() const;
   [[nodiscard]] const TensorCacheConfig& config() const { return config_; }
+  /// This step's entry table: the trace path's own, or the replayed
+  /// program's.
+  [[nodiscard]] std::span<const EntryInfo> entry_table() const {
+    return table_;
+  }
 
   /// Rebalances the offload budget mid-run (sessions call this after a
   /// structural fault degrades the SSD array's sustainable bandwidth).
@@ -201,45 +219,39 @@ class TensorCache {
   void set_offload_budget(util::Bytes budget) {
     config_.offload_budget = budget;
   }
-  /// Live state of a tracked tensor (tests).
+  /// Live state of a tracked tensor in the current micro-batch (tests).
   [[nodiscard]] EntryState entry_state(const tensor::TensorId& id) const;
+  /// Live state of entry \p index (tests).
+  [[nodiscard]] EntryState entry_state(std::uint32_t index) const;
 
  private:
+  /// Live state of one entry; its constants are entry_table()[index].
   struct Entry {
     EntryState state = EntryState::kept;
     tensor::Tensor strong;
     tensor::WeakTensor weak;
     sim::CompletionPtr store_done;
-    util::Label label;
-    tensor::TensorShape shape;
-    tensor::DType dtype = tensor::DType::fp16;
-    util::Bytes bytes = 0;
-    std::set<const modules::Module*> scopes;
     bool forwarded = false;
     bool stored = false;  ///< an offloaded copy exists (or is being written)
+    bool released = true;  ///< not packed yet this step, or released
   };
 
-  /// Dense replay-path entry: addressed by index, no TensorId map lookups.
-  /// The record-time constants live in the program's ReplayEntryInit array;
-  /// only the dynamic state lives here, reset by replay_begin.
-  struct ReplayEntry {
-    EntryState state = EntryState::kept;
-    tensor::Tensor strong;
-    tensor::WeakTensor weak;
-    sim::CompletionPtr store_done;
-    bool forwarded = false;
-    bool stored = false;
-    bool released = true;  ///< default-released so reset() is cheap
+  /// A trace-path entry and the module scopes that saved it.
+  struct Tracked {
+    std::uint32_t index = 0;
+    std::set<const modules::Module*> scopes;
   };
 
   /// One leaf scope's saves, in forward order — the prefetch unit.
   struct SequenceSlot {
     const modules::Module* scope = nullptr;
-    std::vector<tensor::TensorId> ids;
+    std::vector<std::uint32_t> entries;
   };
 
+  /// The trace path's view of one micro-batch: Alg. 1's get_id dedup map
+  /// and the scope bookkeeping that decides releases and prefetch order.
   struct Record {
-    std::map<tensor::TensorId, Entry> entries;
+    std::map<tensor::TensorId, Tracked> tracked;  ///< until released
     std::vector<SequenceSlot> sequence;  ///< leaf scopes in forward order
     /// Remaining forward occurrences per scope; backward consumes them in
     /// reverse to locate its position in the sequence.
@@ -249,7 +261,6 @@ class TensorCache {
 
   graph::PackedValue pack(const tensor::Tensor& t);
   tensor::Tensor unpack(const graph::PackedValue& value);
-  tensor::Tensor unpack_entry(const tensor::TensorId& id, Entry& entry);
 
   void on_forward_pre(modules::Module& m);
   void on_forward_post(modules::Module& m);
@@ -257,13 +268,16 @@ class TensorCache {
   void on_backward_post(modules::Module& m);
 
   Record& record();
-  void start_load(const tensor::TensorId& id, Entry& entry);
-  void replay_start_load(std::uint32_t index);
+  /// Marks entry \p index packed (each entry is packed once per step).
+  Entry& arm(std::uint32_t index);
+  /// Entry \p index if it is still packed in step \p epoch, else null: a
+  /// completion waiter can outlive its entry's release or its step.
+  Entry* live_entry(std::uint32_t index, std::uint32_t epoch);
+  void start_load(std::uint32_t index);
   /// Prefetches the slots preceding sequence position \p position.
   void prefetch_before(std::size_t position);
   /// Removes \p m from every entry's scope set; releases drained entries.
   void retire_scope(const modules::Module& m);
-  void release_entry(const tensor::TensorId& id, Entry& entry);
   [[nodiscard]] bool in_keep_scope() const;
 
   sim::Simulator& sim_;
@@ -282,9 +296,11 @@ class TensorCache {
   TensorCacheStats stats_;
 
   TraceRecorder* recorder_ = nullptr;
-  std::vector<tensor::TensorId> prefetch_scratch_;  ///< recorder candidates
-  std::span<const ReplayEntryInit> replay_inits_;
-  std::vector<ReplayEntry> replay_entries_;
+  std::vector<EntryInfo> recorded_;  ///< the trace path's table, as it packs
+  std::span<const EntryInfo> table_;  ///< recorded_ or a replayed program's
+  std::vector<Entry> entries_;        ///< live state, index-aligned with table_
+  std::uint32_t epoch_ = 0;           ///< steps begun
+  std::vector<std::uint32_t> prefetch_scratch_;  ///< one prefetch window
 };
 
 }  // namespace ssdtrain::core

@@ -484,7 +484,7 @@ void Executor::start_recording(StepProgram& program,
   program = StepProgram{};
   program.schedule = schedule;
   recorder_owned_ = std::make_unique<StepRecorder>(
-      program, *node_.gpu(options_.gpu_index).allocator, cache_ != nullptr);
+      program, *node_.gpu(options_.gpu_index).allocator, cache_);
   recorder_ = recorder_owned_.get();
   if (cache_ != nullptr) cache_->set_trace_recorder(recorder_);
 }
@@ -509,7 +509,7 @@ StepStats Executor::record_step(modules::Model& model,
   program = StepProgram{};
   program.schedule = schedule;
   StepRecorder recorder(program, *node_.gpu(options_.gpu_index).allocator,
-                        cache_ != nullptr);
+                        cache_);
   recorder_ = &recorder;
   if (cache_ != nullptr) cache_->set_trace_recorder(&recorder);
   StepStats stats;
@@ -626,32 +626,31 @@ void Executor::replay_ops_tensor(const StepProgram& program,
         replay_slots_[op.a].reset();
         break;
       case StepProgram::OpKind::pack_passthrough:
-        cache_->replay_pack_passthrough(
+        cache_->pack_passthrough(
             static_cast<core::TensorCache::PassKind>(op.flags));
         break;
       case StepProgram::OpKind::pack_dedup:
-        cache_->replay_pack_dedup();
+        cache_->pack_dedup();
         break;
       case StepProgram::OpKind::pack_keep:
-        cache_->replay_pack_keep(
-            op.a, replay_slots_[op.b],
-            static_cast<core::TensorCache::KeepReason>(op.flags));
+        cache_->keep(op.a, replay_slots_[op.b],
+                     static_cast<core::TensorCache::KeepReason>(op.flags));
         break;
       case StepProgram::OpKind::pack_store:
-        cache_->replay_pack_store(op.a, replay_slots_[op.b]);
+        cache_->store(op.a, replay_slots_[op.b]);
         break;
       case StepProgram::OpKind::unpack_passthrough:
-        cache_->replay_unpack_passthrough();
+        cache_->unpack_passthrough();
         break;
       case StepProgram::OpKind::unpack_entry:
-        replay_slots_[op.b] = cache_->replay_unpack(op.a);
+        replay_slots_[op.b] = cache_->unpack_entry(op.a);
         break;
       case StepProgram::OpKind::prefetch:
-        cache_->replay_prefetch(
+        cache_->prefetch(
             std::span<const std::uint32_t>(&program.aux[op.a], op.count));
         break;
       case StepProgram::OpKind::release_entry:
-        cache_->replay_release(op.a);
+        cache_->release(op.a);
         break;
     }
   }
@@ -742,7 +741,7 @@ Executor::StepBaseline Executor::begin_replay_step(
   util::expects(program.uses_cache == (cache_ != nullptr),
                 "cache attachment changed since the program was recorded");
   node_.gpu(options_.gpu_index).allocator->reset_peaks();
-  if (cache_ != nullptr) cache_->replay_begin(program.entries);
+  if (cache_ != nullptr) cache_->begin_replay(program.entries);
   return begin_step();
 }
 

@@ -12,22 +12,11 @@
 #include "ssdtrain/runtime/cluster_session.hpp"
 #include "ssdtrain/runtime/program_serdes.hpp"
 #include "ssdtrain/runtime/session.hpp"
+#include "ssdtrain/util/binary_io.hpp"
 #include "ssdtrain/util/logging.hpp"
 
 namespace ssdtrain::runtime {
 namespace {
-
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-[[nodiscard]] std::uint64_t fnv1a(std::string_view data) {
-  std::uint64_t hash = kFnvBasis;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 /// Canonical key-text builder. Doubles are rendered as C hexfloats ("%a"),
 /// which round-trip exactly — two configs differing in the 17th significant
@@ -204,7 +193,7 @@ void append_knobs(KeyText& key, const SessionOptions& config) {
 
 ProgramKey ProgramKey::from_text(std::string text) {
   ProgramKey key;
-  key.hash = fnv1a(text);
+  key.hash = util::fnv1a(text);
   key.text = std::move(text);
   return key;
 }

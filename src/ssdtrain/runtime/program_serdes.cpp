@@ -1,56 +1,24 @@
 #include "ssdtrain/runtime/program_serdes.hpp"
 
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <vector>
+
+#include "ssdtrain/util/binary_io.hpp"
 
 namespace ssdtrain::runtime {
 
 namespace {
 
+using util::fnv1a;
+using util::put_f64;
+using util::put_str;
+using util::put_u16;
+using util::put_u32;
+using util::put_u64;
+using util::put_u8;
+
 constexpr char kMagic[8] = {'S', 'S', 'D', 'T', 'P', 'R', 'G', '\n'};
-
-std::uint64_t fnv1a(std::string_view data) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-// -- little-endian writers ---------------------------------------------------
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u16(std::string& out, std::uint16_t v) {
-  put_u8(out, static_cast<std::uint8_t>(v));
-  put_u8(out, static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    put_u8(out, static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    put_u8(out, static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void put_f64(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_str(std::string& out, std::string_view s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
 
 void put_shape(std::string& out, const tensor::TensorShape& shape) {
   put_u8(out, static_cast<std::uint8_t>(shape.rank()));
@@ -59,96 +27,19 @@ void put_shape(std::string& out, const tensor::TensorShape& shape) {
   }
 }
 
-// -- bounds-checked little-endian reader -------------------------------------
-
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  [[nodiscard]] bool failed() const { return failed_; }
-  [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
-  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
-
-  std::uint8_t u8() {
-    if (!take(1)) return 0;
-    return static_cast<std::uint8_t>(data_[pos_++]);
+tensor::TensorShape read_shape(util::ByteReader& in) {
+  const std::uint8_t rank = in.u8();
+  if (rank > tensor::TensorShape::kMaxRank) {
+    in.fail();
+    return {};
   }
-
-  std::uint16_t u16() {
-    std::uint16_t v = u8();
-    v |= static_cast<std::uint16_t>(static_cast<std::uint16_t>(u8()) << 8);
-    return v;
+  std::vector<std::int64_t> dims(rank);
+  for (std::uint8_t i = 0; i < rank; ++i) {
+    dims[i] = static_cast<std::int64_t>(in.u64());
   }
-
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      v |= static_cast<std::uint32_t>(u8()) << shift;
-    }
-    return v;
-  }
-
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 8) {
-      v |= static_cast<std::uint64_t>(u8()) << shift;
-    }
-    return v;
-  }
-
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  std::string str() {
-    const std::uint32_t size = u32();
-    if (size > remaining()) {
-      failed_ = true;
-      return {};
-    }
-    std::string out(data_.substr(pos_, size));
-    pos_ += size;
-    return out;
-  }
-
-  tensor::TensorShape shape() {
-    const std::uint8_t rank = u8();
-    if (rank > tensor::TensorShape::kMaxRank) {
-      failed_ = true;
-      return {};
-    }
-    std::vector<std::int64_t> dims(rank);
-    for (std::uint8_t i = 0; i < rank; ++i) {
-      dims[i] = static_cast<std::int64_t>(u64());
-    }
-    if (failed_) return {};
-    return tensor::TensorShape(dims);
-  }
-
-  /// An element count claiming more than the remaining bytes could hold
-  /// (at \p min_element_bytes each) marks the buffer corrupt before any
-  /// allocation is attempted.
-  std::uint32_t count(std::size_t min_element_bytes) {
-    const std::uint32_t n = u32();
-    if (!failed_ && static_cast<std::uint64_t>(n) * min_element_bytes >
-                        remaining()) {
-      failed_ = true;
-      return 0;
-    }
-    return n;
-  }
-
- private:
-  bool take(std::size_t bytes) {
-    if (failed_ || bytes > remaining()) {
-      failed_ = true;
-      return false;
-    }
-    return true;
-  }
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-  bool failed_ = false;
-};
+  if (in.failed()) return {};
+  return tensor::TensorShape(dims);
+}
 
 bool fail(std::string* error, std::string_view reason) {
   if (error != nullptr) *error = std::string(reason);
@@ -193,7 +84,7 @@ std::string serialize_program(const StepProgram& program,
   }
 
   put_u32(payload, static_cast<std::uint32_t>(program.entries.size()));
-  for (const core::TensorCache::ReplayEntryInit& entry : program.entries) {
+  for (const core::TensorCache::EntryInfo& entry : program.entries) {
     put_u64(payload, entry.id.stamp);
     put_u64(payload, entry.id.shape_key);
     put_str(payload, entry.label.str());
@@ -250,7 +141,7 @@ bool deserialize_program(std::string_view data,
   if (std::memcmp(data.data(), kMagic, sizeof kMagic) != 0) {
     return fail(error, "bad magic");
   }
-  Reader header(data.substr(sizeof kMagic));
+  util::ByteReader header(data.substr(sizeof kMagic));
   const std::uint32_t version = header.u32();
   if (version != kProgramFormatVersion) {
     return fail(error, "format version " + std::to_string(version) +
@@ -263,7 +154,7 @@ bool deserialize_program(std::string_view data,
     return fail(error, "checksum mismatch (corrupt or truncated file)");
   }
 
-  Reader in(checked);
+  util::ByteReader in(checked);
   if (in.str() != expected_key_text) {
     // The stored fingerprint names a different configuration: a hash
     // collision on the cache file name, or a mis-placed file. Either way
@@ -300,17 +191,17 @@ bool deserialize_program(std::string_view data,
   const std::uint32_t shape_count = in.count(1);
   program.shapes.reserve(shape_count);
   for (std::uint32_t i = 0; i < shape_count && !in.failed(); ++i) {
-    program.shapes.push_back(in.shape());
+    program.shapes.push_back(read_shape(in));
   }
 
   const std::uint32_t entry_count = in.count(8 + 8 + 4 + 1 + 1 + 8);
   program.entries.reserve(entry_count);
   for (std::uint32_t i = 0; i < entry_count && !in.failed(); ++i) {
-    core::TensorCache::ReplayEntryInit entry;
+    core::TensorCache::EntryInfo entry;
     entry.id.stamp = in.u64();
     entry.id.shape_key = in.u64();
     entry.label = util::Label(in.str());
-    entry.shape = in.shape();
+    entry.shape = read_shape(in);
     entry.dtype = static_cast<tensor::DType>(in.u8());
     entry.bytes = static_cast<util::Bytes>(in.u64());
     program.entries.push_back(std::move(entry));
@@ -321,7 +212,7 @@ bool deserialize_program(std::string_view data,
   for (std::uint32_t i = 0; i < weight_count && !in.failed(); ++i) {
     StepProgram::WeightInit weight;
     weight.key = in.str();
-    weight.shape = in.shape();
+    weight.shape = read_shape(in);
     weight.dtype = in.u8();
     program.weights.push_back(std::move(weight));
   }

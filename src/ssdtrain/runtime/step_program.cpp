@@ -9,12 +9,12 @@ namespace ssdtrain::runtime {
 
 using core::TensorCache;
 using tensor::Tensor;
-using tensor::TensorId;
 
 StepRecorder::StepRecorder(StepProgram& program,
-                           hw::DeviceAllocator& allocator, bool uses_cache)
-    : program_(program), allocator_(allocator) {
-  program_.uses_cache = uses_cache;
+                           hw::DeviceAllocator& allocator,
+                           const core::TensorCache* cache)
+    : program_(program), allocator_(allocator), cache_(cache) {
+  program_.uses_cache = cache != nullptr;
   program_.replayable = true;  // until proven otherwise
   allocator_.set_trace_observer(
       [this](std::uint64_t id, util::Bytes, hw::MemoryTag, bool is_free) {
@@ -77,15 +77,6 @@ std::uint32_t StepRecorder::slot_of(const Tensor& t) {
 
 void StepRecorder::touch(std::uint32_t slot) {
   slots_[slot].last_use_op = program_.ops.size();
-}
-
-std::uint32_t StepRecorder::entry_of(const TensorId& id) {
-  auto it = entry_of_id_.find(id);
-  if (it == entry_of_id_.end()) {
-    invalidate("cache entry outside the entry table");
-    return 0;
-  }
-  return it->second;
 }
 
 void StepRecorder::invalidate(std::string reason) {
@@ -219,46 +210,38 @@ void StepRecorder::cache_pack_passthrough(TensorCache::PassKind kind) {
 
 void StepRecorder::cache_pack_dedup() { push(StepProgram::OpKind::pack_dedup); }
 
-std::uint32_t StepRecorder::new_entry(const Tensor& t, const TensorId& id) {
-  const auto [it, inserted] = entry_of_id_.try_emplace(
-      id, static_cast<std::uint32_t>(program_.entries.size()));
-  if (!inserted) {
-    // Legal on the trace path (dedup is per micro-batch record, ids are
-    // per step), but the dense entry table is step-global: fall back to
-    // tracing rather than replaying an aliased entry.
+StepProgram::Op& StepRecorder::pack_entry(StepProgram::OpKind kind,
+                                          const Tensor& t,
+                                          std::uint32_t entry) {
+  // Legal on the trace path (dedup is per micro-batch record, ids are per
+  // step), but the two micro-batches' entries would file their extents
+  // under one offloader id: fall back to tracing rather than replaying that.
+  if (!packed_ids_.insert(cache_->entry_table()[entry].id).second) {
     invalidate("tensor id packed twice in one step");
-    return it->second;
   }
-  program_.entries.push_back(core::TensorCache::ReplayEntryInit{
-      id, t.label(), t.shape(), t.dtype(), t.bytes()});
-  return it->second;
+  const std::uint32_t slot = slot_of(t);
+  StepProgram::Op& op = push(kind);
+  op.a = entry;
+  op.b = slot;
+  return op;
 }
 
-void StepRecorder::cache_pack_keep(const Tensor& t, const TensorId& id,
+void StepRecorder::cache_pack_keep(const Tensor& t, std::uint32_t entry,
                                    TensorCache::KeepReason reason) {
-  const std::uint32_t entry = new_entry(t, id);
-  const std::uint32_t slot = slot_of(t);
-  StepProgram::Op& op = push(StepProgram::OpKind::pack_keep);
-  op.a = entry;
-  op.b = slot;
-  op.flags = static_cast<std::uint8_t>(reason);
+  pack_entry(StepProgram::OpKind::pack_keep, t, entry).flags =
+      static_cast<std::uint8_t>(reason);
 }
 
-void StepRecorder::cache_pack_store(const Tensor& t, const TensorId& id) {
-  const std::uint32_t entry = new_entry(t, id);
-  const std::uint32_t slot = slot_of(t);
-  StepProgram::Op& op = push(StepProgram::OpKind::pack_store);
-  op.a = entry;
-  op.b = slot;
+void StepRecorder::cache_pack_store(const Tensor& t, std::uint32_t entry) {
+  pack_entry(StepProgram::OpKind::pack_store, t, entry);
 }
 
 void StepRecorder::cache_unpack_passthrough() {
   push(StepProgram::OpKind::unpack_passthrough);
 }
 
-void StepRecorder::cache_unpack_entry(const TensorId& id,
+void StepRecorder::cache_unpack_entry(std::uint32_t entry,
                                       const Tensor& result) {
-  const std::uint32_t entry = entry_of(id);
   // The result gets a fresh slot: depending on timing the replayed unpack
   // may return the original storage (kept/forwarded) or a freshly loaded
   // tensor, and downstream kernels must gate on whichever it was.
@@ -268,22 +251,21 @@ void StepRecorder::cache_unpack_entry(const TensorId& id,
   op.b = slot;
 }
 
-void StepRecorder::cache_prefetch(std::span<const TensorId> candidates) {
+void StepRecorder::cache_prefetch(std::span<const std::uint32_t> candidates) {
   if (candidates.size() > kMaxOpCount) {
     invalidate("prefetch window exceeds the op count field");
     return;
   }
   const auto aux_begin = static_cast<std::uint32_t>(program_.aux.size());
-  for (const TensorId& id : candidates) {
-    program_.aux.push_back(entry_of(id));
-  }
+  program_.aux.insert(program_.aux.end(), candidates.begin(),
+                      candidates.end());
   StepProgram::Op& op = push(StepProgram::OpKind::prefetch);
   op.a = aux_begin;
   op.count = static_cast<std::uint16_t>(candidates.size());
 }
 
-void StepRecorder::cache_release(const TensorId& id) {
-  push(StepProgram::OpKind::release_entry).a = entry_of(id);
+void StepRecorder::cache_release(std::uint32_t entry) {
+  push(StepProgram::OpKind::release_entry).a = entry;
   ++releases_;
 }
 
@@ -293,9 +275,14 @@ void StepRecorder::finalize() {
   allocator_.set_trace_observer(nullptr);
   observer_installed_ = false;
 
-  // Entries the recorded step never released would collide with next
-  // step's offloader slots under replay (the program reuses the recorded
-  // TensorIds); such a step stays on the trace path.
+  // The program keeps the cache's record-time entry table. Entries the
+  // recorded step never released would collide with next step's offloader
+  // slots under replay (the program reuses the recorded TensorIds); such a
+  // step stays on the trace path.
+  if (cache_ != nullptr) {
+    const auto table = cache_->entry_table();
+    program_.entries.assign(table.begin(), table.end());
+  }
   if (releases_ != program_.entries.size()) {
     invalidate("recorded step leaked cache entries");
   }

@@ -8,11 +8,13 @@
 /// GraphNode heap nodes, and TensorId-keyed map lookups in the tensor
 /// cache. Recording flattens one traced step into a StepProgram: a dense
 /// array of compact ops over interned util::Label names, precomputed
-/// byte/flop/duration values, and dense value-slot / cache-entry indices.
+/// byte/flop/duration values, dense value-slot indices, and the tensor
+/// cache's own entry table, indexed as the cache assigned it at pack time.
 /// Executor::replay() walks that array and drives the streams, offloader,
-/// and cache directly, with bit-identical results (same StepStats, same
-/// event order) and zero steady-state heap allocations on the no-offload
-/// path.
+/// and the cache's index-addressed entry transitions (the same ones the
+/// trace path's hooks call) directly, with bit-identical results (same
+/// StepStats, same event order) and zero steady-state heap allocations on
+/// the no-offload path.
 ///
 /// What stays dynamic at replay — everything timing-dependent re-evaluates
 /// against the live simulation, exactly like the trace path does:
@@ -35,6 +37,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -103,7 +106,9 @@ struct StepProgram {
   std::vector<std::uint32_t> aux;  ///< dep-slot and prefetch-entry lists
   std::vector<util::Label> labels;
   std::vector<tensor::TensorShape> shapes;
-  std::vector<core::TensorCache::ReplayEntryInit> entries;
+  /// The cache's record-time entry table (pack/unpack/prefetch/release
+  /// ops address it by index).
+  std::vector<core::TensorCache::EntryInfo> entries;
   std::vector<WeightInit> weights;  ///< creation-order executor weights
   std::uint32_t slot_count = 0;
   std::vector<sched::Command> schedule;
@@ -131,8 +136,10 @@ struct StepProgram {
 /// death lands as a drop_value op at its exact op-stream position.
 class StepRecorder final : public core::TensorCache::TraceRecorder {
  public:
+  /// \p cache is the executor's tensor cache, or null for a cache-less
+  /// program; its entry table becomes the program's at finalize().
   StepRecorder(StepProgram& program, hw::DeviceAllocator& allocator,
-               bool uses_cache);
+               const core::TensorCache* cache);
   ~StepRecorder() override;
   StepRecorder(const StepRecorder&) = delete;
   StepRecorder& operator=(const StepRecorder&) = delete;
@@ -171,23 +178,20 @@ class StepRecorder final : public core::TensorCache::TraceRecorder {
   // -- core::TensorCache::TraceRecorder --------------------------------------
   void cache_pack_passthrough(core::TensorCache::PassKind kind) override;
   void cache_pack_dedup() override;
-  void cache_pack_keep(const tensor::Tensor& t, const tensor::TensorId& id,
+  void cache_pack_keep(const tensor::Tensor& t, std::uint32_t entry,
                        core::TensorCache::KeepReason reason) override;
-  void cache_pack_store(const tensor::Tensor& t,
-                        const tensor::TensorId& id) override;
+  void cache_pack_store(const tensor::Tensor& t, std::uint32_t entry) override;
   void cache_unpack_passthrough() override;
-  void cache_unpack_entry(const tensor::TensorId& id,
+  void cache_unpack_entry(std::uint32_t entry,
                           const tensor::Tensor& result) override;
-  void cache_prefetch(std::span<const tensor::TensorId> candidates) override;
-  void cache_release(const tensor::TensorId& id) override;
+  void cache_prefetch(std::span<const std::uint32_t> candidates) override;
+  void cache_release(std::uint32_t entry) override;
 
  private:
   /// Ceiling of Op::count (dependency and prefetch-candidate lists); a
   /// recorded step exceeding it falls back to the trace path rather than
   /// silently truncating.
   static constexpr std::size_t kMaxOpCount = 0xFFFF;
-
-  std::uint32_t new_entry(const tensor::Tensor& t, const tensor::TensorId& id);
 
   struct SlotInfo {
     std::size_t last_use_op = 0;
@@ -199,15 +203,17 @@ class StepRecorder final : public core::TensorCache::TraceRecorder {
   std::uint32_t new_slot(const tensor::Tensor& t);
   std::uint32_t slot_of(const tensor::Tensor& t);
   void touch(std::uint32_t slot);
-  std::uint32_t entry_of(const tensor::TensorId& id);
   std::uint32_t intern_label(util::Label label);
   std::uint32_t intern_shape(const tensor::TensorShape& shape);
   StepProgram::Op& push(StepProgram::OpKind kind);
+  StepProgram::Op& pack_entry(StepProgram::OpKind kind,
+                              const tensor::Tensor& t, std::uint32_t entry);
   void on_allocator_event(std::uint64_t id, bool is_free);
   void invalidate(std::string reason);
 
   StepProgram& program_;
   hw::DeviceAllocator& allocator_;
+  const core::TensorCache* cache_;
   bool observer_installed_ = false;
   int sim_depth_ = 0;
   bool finalized_ = false;
@@ -218,7 +224,7 @@ class StepRecorder final : public core::TensorCache::TraceRecorder {
   std::map<const tensor::Storage*, std::uint32_t> slot_of_storage_;
   /// Device allocation id -> every slot aliasing that storage.
   std::map<std::uint64_t, std::vector<std::uint32_t>> slots_of_allocation_;
-  std::map<tensor::TensorId, std::uint32_t> entry_of_id_;
+  std::set<tensor::TensorId> packed_ids_;
   std::size_t releases_ = 0;
 };
 

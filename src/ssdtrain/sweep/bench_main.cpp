@@ -11,39 +11,28 @@
 
 namespace ssdtrain::sweep {
 
-BenchMain::BenchMain(int argc, char** argv, Shape shape)
+BenchMain::BenchMain(int argc, char** argv, Shape shape,
+                     std::initializer_list<std::string_view> modes)
+    : BenchMain(argc, argv, shape, OwnPositionals{}) {
+  reject_positionals(cli_, modes);
+}
+
+BenchMain::BenchMain(int argc, char** argv, Shape shape, OwnPositionals)
     : cli_(parse_cli(argc, argv)) {
   if (shape == Shape::streamed) {
     util::expects(cli_.chaos_exec.empty() || cli_.csv_enabled(),
                   "--chaos-exec needs --csv: chaos fires at committed rows");
   } else {
-    const std::string why =
-        " is not supported here: this binary renders its grid as a whole "
-        "(only the streamed benches take --points, --shard and "
-        "--chaos-exec)";
-    util::expects(!cli_.points_enabled(), "--points" + why);
-    util::expects(!cli_.sharded(), "--shard" + why);
-    util::expects(cli_.chaos_exec.empty(), "--chaos-exec" + why);
+    reject_flags(cli_, {"--points", "--shard", "--chaos-exec"},
+                 "this binary renders its grid as a whole (only the streamed "
+                 "benches take --points, --shard and --chaos-exec)");
   }
   if (shape == Shape::analytic) {
-    const std::pair<bool, const char*> session_flags[] = {
-        {cli_.no_replay, "--no-replay"},
-        {cli_.pipeline_parallel > 0, "--pp"},
-        {cli_.tensor_parallel > 0, "--tp"},
-        {cli_.data_parallel > 0, "--dp"},
-        {cli_.zero.has_value(), "--zero"},
-        {cli_.faults_enabled(), "--faults"},
-        {cli_.fault_seed != 0, "--fault-seed"},
-        {cli_.ckpt_interval > 0, "--ckpt-interval"},
-        {cli_.ckpt_auto, "--ckpt-auto"},
-        {!cli_.program_cache_dir.empty(), "--program-cache"},
-        {cli_.no_program_cache, "--no-program-cache"},
-    };
-    for (const auto& [given, flag] : session_flags) {
-      util::expects(!given, std::string(flag) +
-                                " is not supported here: this binary builds "
-                                "no training session");
-    }
+    reject_flags(cli_,
+                 {"--no-replay", "--pp", "--tp", "--dp", "--zero", "--faults",
+                  "--fault-seed", "--ckpt-interval", "--ckpt-auto",
+                  "--program-cache", "--no-program-cache"},
+                 "this binary builds no training session");
   } else if (cli_.program_cache_enabled()) {
     cache_ = std::make_unique<runtime::ProgramCache>(
         runtime::ProgramCacheConfig{cli_.program_cache_dir});

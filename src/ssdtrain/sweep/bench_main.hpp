@@ -22,12 +22,15 @@
 ///   analytic  a batch grid of closed-form models that builds no session:
 ///             the session flags are rejected as well.
 ///
-/// A rejected flag is a contract violation that names it, raised before any
-/// point runs, so no binary accepts a flag and then silently drops it.
+/// A binary also declares its modes ("smoke", "verify"): it takes at most
+/// one positional argument, and only one of those. A rejected flag or
+/// argument is a contract violation that names it, raised before any point
+/// runs, so no binary accepts input and then silently drops it.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -56,15 +59,21 @@ class BenchMain {
  public:
   enum class Shape { streamed, batch, analytic };
 
-  /// Parses argv (parse_cli) and rejects every flag \p shape cannot honour.
-  BenchMain(int argc, char** argv, Shape shape);
+  /// Parses argv (parse_cli) and rejects every flag \p shape cannot honour,
+  /// and every positional argument but one of the binary's \p modes.
+  BenchMain(int argc, char** argv, Shape shape,
+            std::initializer_list<std::string_view> modes = {});
+  /// For a binary that reads its positional arguments itself
+  /// (example_rok_explorer's grid): only the flags are checked.
+  struct OwnPositionals {};
+  BenchMain(int argc, char** argv, Shape shape, OwnPositionals);
   ~BenchMain();
   BenchMain(const BenchMain&) = delete;
   BenchMain& operator=(const BenchMain&) = delete;
 
   [[nodiscard]] const CliOptions& cli() const { return cli_; }
 
-  /// True when the first positional argument is \p name ("smoke", ...).
+  /// True when the positional argument is the mode \p name ("smoke", ...).
   [[nodiscard]] bool mode(std::string_view name) const;
 
   /// Applies the session flags over the defaults the bench has already set:

@@ -232,6 +232,85 @@ CliOptions parse_cli(int argc, char** argv) {
   return options;
 }
 
+namespace {
+
+/// Every flag parse_cli accepts, with whether \p o carries a non-default
+/// value for it.
+std::vector<std::pair<std::string_view, bool>> given_flags(
+    const CliOptions& o) {
+  return {
+      {"--workers", o.workers != 0},
+      {"--csv", o.csv_enabled()},
+      {"--points", o.points_enabled()},
+      {"--point-timeout", o.point_timeout > 0.0},
+      {"--retries", o.retries > 0},
+      {"--no-replay", o.no_replay},
+      {"--pp", o.pipeline_parallel > 0},
+      {"--tp", o.tensor_parallel > 0},
+      {"--dp", o.data_parallel > 0},
+      {"--zero", o.zero.has_value()},
+      {"--faults", o.faults_enabled()},
+      {"--fault-seed", o.fault_seed != 0},
+      {"--ckpt-interval", o.ckpt_interval > 0},
+      {"--ckpt-auto", o.ckpt_auto},
+      {"--mtbf", o.mtbf > 0.0},
+      {"--shard", o.sharded()},
+      {"--program-cache", !o.program_cache_dir.empty()},
+      {"--no-program-cache", o.no_program_cache},
+      {"--chaos-exec", !o.chaos_exec.empty()},
+  };
+}
+
+bool contains(std::initializer_list<std::string_view> names,
+              std::string_view name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+/// Rejects the first flag given on the command line that \p refused names.
+template <typename Refused>
+void reject_if(const CliOptions& options, Refused refused,
+               std::string_view why) {
+  for (const auto& [flag, given] : given_flags(options)) {
+    util::expects(!given || !refused(flag),
+                  std::string(flag) + " is not supported here: " +
+                      std::string(why));
+  }
+}
+
+}  // namespace
+
+void reject_flags(const CliOptions& options,
+                  std::initializer_list<std::string_view> flags,
+                  std::string_view why) {
+  reject_if(
+      options, [flags](std::string_view f) { return contains(flags, f); },
+      why);
+}
+
+void reject_flags_except(const CliOptions& options,
+                         std::initializer_list<std::string_view> applied,
+                         std::string_view why) {
+  reject_if(
+      options, [applied](std::string_view f) { return !contains(applied, f); },
+      why);
+}
+
+void reject_positionals(const CliOptions& options,
+                        std::initializer_list<std::string_view> modes) {
+  for (std::size_t i = 0; i < options.positional.size(); ++i) {
+    if (i == 0 && contains(modes, options.positional[i])) continue;
+    std::string message = "unexpected argument '";
+    message += options.positional[i];
+    message += modes.size() == 0 ? "': this binary takes none"
+                                 : "': this binary takes one mode at most:";
+    for (const std::string_view mode : modes) {
+      message += ' ';
+      message += mode;
+    }
+    util::expects(false, message);
+  }
+}
+
 bool matches_point_filter(const CliOptions& options,
                           const SweepPoint& point) {
   for (const auto& [axis, expected] : options.point_filter) {

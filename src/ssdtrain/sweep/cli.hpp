@@ -11,7 +11,11 @@
 /// bench_fig5_lifespan, bench_fig8b_upscale) build no session and reject the
 /// session flags (--no-replay through --no-program-cache below, apart from
 /// --shard). The microbenches bench_sim_core, bench_step_replay and
-/// bench_program_cache call parse_cli themselves.
+/// bench_program_cache call parse_cli themselves and reject (reject_flags
+/// below) every flag but --csv and, for the two that build sessions,
+/// --pp/--tp/--dp/--zero. Positional arguments are the modes a binary
+/// declares ("smoke", "verify"), one at most; example_rok_explorer alone
+/// reads its own.
 ///   --workers N         worker threads for the SweepRunner (default: all
 ///                       cores)
 ///   --csv PATH          dump the sweep's data series as CSV via
@@ -101,8 +105,10 @@
 /// plus its own positional arguments, which are passed through untouched.
 
 #include <cstddef>
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -204,6 +210,24 @@ struct CliOptions {
 /// Parses argv. Unknown "--flag" arguments are contract violations;
 /// anything else lands in `positional` in order.
 CliOptions parse_cli(int argc, char** argv);
+
+// Startup checks, so no binary accepts an argument and then drops it. Each
+// raises a contract violation naming the argument. A flag given its default
+// value (--workers 0, --fault-seed 0) changes nothing and passes.
+
+/// Rejects each of \p flags ("--points", ...) the command line gave:
+/// "<flag> is not supported here: <why>".
+void reject_flags(const CliOptions& options,
+                  std::initializer_list<std::string_view> flags,
+                  std::string_view why);
+/// Rejects every flag given on the command line that is not in \p applied.
+void reject_flags_except(const CliOptions& options,
+                         std::initializer_list<std::string_view> applied,
+                         std::string_view why);
+/// Rejects a positional argument that is not one of \p modes ("smoke",
+/// ...), and any second positional argument.
+void reject_positionals(const CliOptions& options,
+                        std::initializer_list<std::string_view> modes);
 
 /// True when \p point satisfies every --points constraint (vacuously true
 /// without --points). Constraint keys must name axes of the point.

@@ -49,30 +49,10 @@ void ChromeTrace::append_fault_events(
   }
 }
 
-void ChromeTrace::append_checkpoint_events(
-    const std::vector<ckpt::CheckpointEvent>& log) {
-  static const std::string kCheckpointTrack = "checkpoint";
-  static const std::string kRecoveryTrack = "recovery";
-  for (const ckpt::CheckpointEvent& ev : log) {
-    const bool write = ev.kind == ckpt::CheckpointEvent::Kind::write;
-    events_.push_back(TraceEvent{ev.detail,
-                                 write ? kCheckpointTrack : kRecoveryTrack,
-                                 ev.start, std::max(ev.end, ev.start)});
-  }
-}
-
-std::size_t ChromeTrace::track_id(const std::string& track) {
-  for (std::size_t i = 0; i < tracks_.size(); ++i) {
-    if (tracks_[i] == track) return i;
-  }
-  tracks_.push_back(track);
-  return tracks_.size() - 1;
-}
-
 std::string ChromeTrace::to_json() const {
-  // Build the track table first (const_cast-free: recompute ids locally).
+  // Track ids in order of first appearance.
   std::vector<std::string> tracks;
-  auto local_track_id = [&tracks](const std::string& track) {
+  auto track_id = [&tracks](const std::string& track) {
     for (std::size_t i = 0; i < tracks.size(); ++i) {
       if (tracks[i] == track) return i;
     }
@@ -86,7 +66,7 @@ std::string ChromeTrace::to_json() const {
   for (const auto& e : events_) {
     if (!first) out << ",\n";
     first = false;
-    const std::size_t tid = local_track_id(e.track);
+    const std::size_t tid = track_id(e.track);
     out << R"(  {"name": ")" << e.name << R"(", "ph": "X", "pid": 0, )"
         << R"("tid": )" << tid << R"(, "ts": )" << e.start * 1e6
         << R"(, "dur": )" << (e.end - e.start) * 1e6 << "}";

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "ssdtrain/ckpt/writer.hpp"
 #include "ssdtrain/fault/injector.hpp"
 #include "ssdtrain/sim/stream.hpp"
 #include "ssdtrain/util/units.hpp"
@@ -40,12 +39,6 @@ class ChromeTrace {
   void append_fault_events(const std::vector<fault::FaultEvent>& log,
                            util::Seconds horizon);
 
-  /// Renders a CheckpointWriter's timeline onto "checkpoint" and
-  /// "recovery" tracks: per-GPU shard writes and the commit flip land on
-  /// the checkpoint lane, restore spans (and rejected-blob markers) on the
-  /// recovery lane.
-  void append_checkpoint_events(const std::vector<ckpt::CheckpointEvent>& log);
-
   [[nodiscard]] const std::vector<TraceEvent>& events() const {
     return events_;
   }
@@ -58,8 +51,6 @@ class ChromeTrace {
 
  private:
   std::vector<TraceEvent> events_;
-  std::vector<std::string> tracks_;
-  std::size_t track_id(const std::string& track);
 };
 
 }  // namespace ssdtrain::trace

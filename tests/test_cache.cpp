@@ -254,8 +254,8 @@ TEST_F(CacheTest, StatsAccumulateBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Replay fast path: the dense slot-indexed entries Executor::replay drives
-// (pack decisions resolved at record time, states/forwarding/release
+// Replay: the index-addressed entry transitions as Executor::replay drives
+// them (pack decisions resolved at record time, states/forwarding/release
 // re-evaluated live). Each test mirrors a trace-path behaviour above.
 // ---------------------------------------------------------------------------
 
@@ -263,61 +263,61 @@ TEST_F(CacheTest, ReplayStoreEvictsAndReloadsByEntryIndex) {
   auto cache = make_cache();
   auto& alloc = *node_.gpu(0).allocator;
   auto x = activation("x");
-  const core::TensorCache::ReplayEntryInit init{
+  const core::TensorCache::EntryInfo init{
       t::TensorId{1001, x.shape().hash()}, x.label(), x.shape(), x.dtype(),
       x.bytes()};
-  cache.replay_begin(std::span(&init, 1));
+  cache.begin_replay(std::span(&init, 1));
 
-  cache.replay_pack_store(0, x);
+  cache.store(0, x);
   EXPECT_EQ(cache.stats().offload_started, 1u);
-  EXPECT_EQ(cache.replay_entry_state(0),
+  EXPECT_EQ(cache.entry_state(0),
             core::TensorCache::EntryState::offloading);
   x.reset();  // the planner's handle drops; the entry holds the last ref
   node_.simulator().run();
   // Store completed: the entry released its strong reference (eviction).
-  EXPECT_EQ(cache.replay_entry_state(0),
+  EXPECT_EQ(cache.entry_state(0),
             core::TensorCache::EntryState::offloaded);
   EXPECT_EQ(alloc.live(hw::MemoryTag::activation), 0);
 
   // Miss load by dense index: consumers gate on the reload completion.
-  auto back = cache.replay_unpack(0);
+  auto back = cache.unpack_entry(0);
   ASSERT_TRUE(back.defined());
   EXPECT_EQ(cache.stats().miss_loads, 1u);
-  EXPECT_EQ(cache.replay_entry_state(0),
+  EXPECT_EQ(cache.entry_state(0),
             core::TensorCache::EntryState::loading);
   EXPECT_FALSE(back.storage()->ready_event()->done());
   node_.simulator().run();
-  EXPECT_EQ(cache.replay_entry_state(0),
+  EXPECT_EQ(cache.entry_state(0),
             core::TensorCache::EntryState::loaded);
 
   back.reset();
-  cache.replay_release(0);
+  cache.release(0);
   EXPECT_EQ(cache.stats().releases, 1u);
   EXPECT_EQ(offloader_.stats().releases, 1u);  // SSD extent trimmed
   EXPECT_EQ(node_.array(0).live_bytes(), 0);
-  EXPECT_EQ(cache.replay_live_entries(), 0u);
+  EXPECT_EQ(cache.tracked_entries(), 0u);
   EXPECT_EQ(alloc.live(hw::MemoryTag::activation), 0);
 }
 
 TEST_F(CacheTest, ReplayForwardingServesInFlightStore) {
   auto cache = make_cache();
   auto x = activation("x");
-  const core::TensorCache::ReplayEntryInit init{
+  const core::TensorCache::EntryInfo init{
       t::TensorId{1002, x.shape().hash()}, x.label(), x.shape(), x.dtype(),
       x.bytes()};
-  cache.replay_begin(std::span(&init, 1));
-  cache.replay_pack_store(0, x);
+  cache.begin_replay(std::span(&init, 1));
+  cache.store(0, x);
 
   // Backward arrives while the store drains: data forwarding hands the
   // in-memory reference back instead of waiting for the round trip.
-  auto back = cache.replay_unpack(0);
+  auto back = cache.unpack_entry(0);
   EXPECT_TRUE(same_storage(back, x));
   EXPECT_EQ(cache.stats().forwards, 1u);
   node_.simulator().run();
   // Forwarded entries stay resident once the store finishes.
-  EXPECT_EQ(cache.replay_entry_state(0),
+  EXPECT_EQ(cache.entry_state(0),
             core::TensorCache::EntryState::loaded);
-  cache.replay_release(0);
+  cache.release(0);
   EXPECT_EQ(cache.stats().wasted_stores, 0u);
 }
 
@@ -325,28 +325,28 @@ TEST_F(CacheTest, ReplayPrefetchSkipsReleasedAndResidentEntries) {
   auto cache = make_cache();
   auto a = activation("a");
   auto b = activation("b");
-  const core::TensorCache::ReplayEntryInit inits[] = {
+  const core::TensorCache::EntryInfo inits[] = {
       {t::TensorId{1003, a.shape().hash()}, a.label(), a.shape(), a.dtype(),
        a.bytes()},
       {t::TensorId{1004, b.shape().hash()}, b.label(), b.shape(), b.dtype(),
        b.bytes()},
   };
-  cache.replay_begin(inits);
-  cache.replay_pack_store(0, a);
-  cache.replay_pack_store(1, b);
+  cache.begin_replay(inits);
+  cache.store(0, a);
+  cache.store(1, b);
   a.reset();
   b.reset();
   node_.simulator().run();  // both offloaded
-  cache.replay_release(1);  // scope retired before its prefetch point
+  cache.release(1);  // scope retired before its prefetch point
 
   const std::uint32_t candidates[] = {0, 1};
-  cache.replay_prefetch(candidates);
+  cache.prefetch(candidates);
   // Only the live offloaded entry starts a load.
   EXPECT_EQ(cache.stats().prefetch_loads, 1u);
-  EXPECT_EQ(cache.replay_entry_state(0),
+  EXPECT_EQ(cache.entry_state(0),
             core::TensorCache::EntryState::loading);
   node_.simulator().run();
-  cache.replay_release(0);
+  cache.release(0);
   EXPECT_EQ(node_.array(0).live_bytes(), 0);
 }
 
@@ -354,27 +354,27 @@ TEST_F(CacheTest, ReplayKeepStaysResidentAndWastedStoreTrimsDeferred) {
   auto cache = make_cache();
   auto kept = activation("kept");
   auto wasted = activation("wasted");
-  const core::TensorCache::ReplayEntryInit inits[] = {
+  const core::TensorCache::EntryInfo inits[] = {
       {t::TensorId{1005, kept.shape().hash()}, kept.label(), kept.shape(),
        kept.dtype(), kept.bytes()},
       {t::TensorId{1006, wasted.shape().hash()}, wasted.label(),
        wasted.shape(), wasted.dtype(), wasted.bytes()},
   };
-  cache.replay_begin(inits);
+  cache.begin_replay(inits);
 
-  cache.replay_pack_keep(0, kept, core::TensorCache::KeepReason::scope);
+  cache.keep(0, kept, core::TensorCache::KeepReason::scope);
   EXPECT_EQ(cache.stats().kept_scope, 1u);
-  EXPECT_TRUE(same_storage(cache.replay_unpack(0), kept));
+  EXPECT_TRUE(same_storage(cache.unpack_entry(0), kept));
 
-  cache.replay_pack_store(1, wasted);
+  cache.store(1, wasted);
   // Scope ends before the store finishes: a wasted store whose extent trim
   // is deferred until the transfer drains.
-  cache.replay_release(1);
+  cache.release(1);
   EXPECT_EQ(cache.stats().wasted_stores, 1u);
   node_.simulator().run();
   EXPECT_EQ(offloader_.stats().releases, 1u);
   EXPECT_EQ(node_.array(0).live_bytes(), 0);
 
-  cache.replay_release(0);
-  EXPECT_EQ(cache.replay_live_entries(), 0u);
+  cache.release(0);
+  EXPECT_EQ(cache.tracked_entries(), 0u);
 }

@@ -769,6 +769,52 @@ TEST(FaultDeterminism, TracePathMatchesReplayPathUnderFaults) {
   }
 }
 
+TEST(FaultDeterminism, PermanentStoreFailuresMatchOnTraceAndReplay) {
+  // A store whose every retry fails leaves its tensor on the GPU
+  // (kept_store_failed). The cache takes that branch of its store
+  // transition whether the trace hooks or a replayed program drive it, and
+  // both must give the same step. The 70% error window covers the first
+  // fifth of a replayed step, i.e. its forward stores but not the backward
+  // reloads: no reload falls back to recompute, so the program stays valid
+  // and the step really replays (an open-ended window makes every step
+  // re-record instead).
+  for (rt::Strategy strategy :
+       {rt::Strategy::ssdtrain, rt::Strategy::ssdtrain_cpu}) {
+    const std::string what(to_string(strategy));
+    auto traced_cfg = small_config(m::bert_config(8192, 2, 8), strategy);
+    traced_cfg.faults = armed_but_quiet();
+    traced_cfg.faults.seed = 42;
+    traced_cfg.use_replay = false;
+    rt::SessionConfig replayed_cfg = traced_cfg;
+    replayed_cfg.use_replay = true;
+    rt::TrainingSession traced(std::move(traced_cfg));
+    rt::TrainingSession replayed(std::move(replayed_cfg));
+
+    const rt::StepStats recorded = traced.run_step();
+    expect_steps_equal(recorded, replayed.run_step(), what + " step 0");
+    f::FaultSpec errors;
+    errors.kind = f::FaultKind::io_error;
+    errors.rate = 0.7;
+    errors.duration = recorded.step_time / 5;
+    traced.injector()->trigger(errors);
+    replayed.injector()->trigger(errors);
+
+    ASSERT_NE(replayed.program(), nullptr) << what;
+    ASSERT_TRUE(replayed.program()->replayable) << what;
+    const rt::StepStats traced_failed = traced.run_step();
+    const rt::StepStats failed = replayed.run_step();
+    expect_steps_equal(traced_failed, failed, what + " step 1");
+    EXPECT_GT(failed.cache.kept_store_failed,
+              recorded.cache.kept_store_failed)
+        << what;
+    EXPECT_EQ(failed.program_invalidations, 0u) << what;  // it replayed
+    expect_steps_equal(traced.run_step(), replayed.run_step(),
+                       what + " step 2");
+    expect_fault_logs_equal(traced.injector()->events(),
+                            replayed.injector()->events(), what);
+  }
+}
+
 TEST(FaultProgram, TimingFaultsNeverInvalidateTheProgram) {
   auto config = small_config(m::bert_config(2048, 2, 2),
                              rt::Strategy::ssdtrain);

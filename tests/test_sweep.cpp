@@ -736,18 +736,25 @@ struct Argv {
   char** argv() { return ptrs.data(); }
 };
 
+/// Expects \p run to raise a contract violation whose message names \p what.
+template <typename F>
+void expect_refusal(F run, const std::string& what) {
+  try {
+    run();
+    ADD_FAILURE() << what << " was accepted";
+  } catch (const u::ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
 /// Expects BenchMain to refuse \p flags under \p shape with a message that
 /// names \p flag.
 void expect_rejected(Shape shape, std::vector<std::string> flags,
                      const std::string& flag) {
   Argv argv(std::move(flags));
-  try {
-    sweep::BenchMain bench(argv.argc(), argv.argv(), shape);
-    ADD_FAILURE() << flag << " was accepted";
-  } catch (const u::ContractViolation& e) {
-    EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
-        << e.what();
-  }
+  expect_refusal(
+      [&] { sweep::BenchMain bench(argv.argc(), argv.argv(), shape); }, flag);
 }
 
 std::string read_file(const std::string& path) {
@@ -880,6 +887,105 @@ TEST(BenchMain, ShapesRejectFlagsTheyCannotHonour) {
   Argv plain({"--workers", "2", "--retries", "1", "--point-timeout", "9"});
   EXPECT_NO_THROW(
       sweep::BenchMain(plain.argc(), plain.argv(), Shape::analytic));
+}
+
+TEST(BenchMain, PositionalArgumentsAreOneDeclaredMode) {
+  for (const Shape shape : {Shape::streamed, Shape::batch, Shape::analytic}) {
+    // A mistyped mode would otherwise run the full grid instead of the
+    // smoke cells, and a stray positional would be dropped.
+    Argv typo({"smok"});
+    expect_refusal(
+        [&] {
+          sweep::BenchMain bench(typo.argc(), typo.argv(), shape, {"smoke"});
+        },
+        "'smok'");
+    Argv undeclared({"smoke"});
+    expect_refusal(
+        [&] {
+          sweep::BenchMain bench(undeclared.argc(), undeclared.argv(), shape);
+        },
+        "'smoke'");
+    Argv second({"smoke", "verify"});
+    expect_refusal(
+        [&] {
+          sweep::BenchMain bench(second.argc(), second.argv(), shape,
+                                 {"smoke", "verify"});
+        },
+        "'verify'");
+  }
+
+  Argv verify({"verify"});
+  const sweep::BenchMain bench(verify.argc(), verify.argv(), Shape::streamed,
+                               {"smoke", "verify"});
+  EXPECT_TRUE(bench.mode("verify"));
+  EXPECT_FALSE(bench.mode("smoke"));
+  Argv none({});
+  const sweep::BenchMain plain(none.argc(), none.argv(), Shape::streamed,
+                               {"smoke"});
+  EXPECT_FALSE(plain.mode("smoke"));
+
+  // example_rok_explorer's grid arrives as positionals it parses itself.
+  Argv grid({"4096", "2", "4", "gpt-moe"});
+  const sweep::BenchMain explorer(grid.argc(), grid.argv(), Shape::batch,
+                                  sweep::BenchMain::OwnPositionals{});
+  EXPECT_EQ(explorer.cli().positional.size(), 4u);
+}
+
+TEST(SweepCli, MicrobenchesRejectEveryFlagTheyDoNotApply) {
+  // bench_step_replay and bench_program_cache apply only these; every other
+  // shared flag used to be accepted and dropped.
+  const auto reject_unapplied = [](const sweep::CliOptions& options) {
+    sweep::reject_flags_except(options,
+                               {"--csv", "--pp", "--tp", "--dp", "--zero"},
+                               "microbench");
+  };
+  const std::string csv = ::testing::TempDir() + "microbench.csv";
+  const std::vector<std::vector<std::string>> dropped = {
+      {"--workers", "2"},
+      {"--points", "a=1"},
+      {"--point-timeout", "9"},
+      {"--retries", "1"},
+      {"--no-replay"},
+      {"--faults", "io-error:rate=0.5"},
+      {"--fault-seed", "3"},
+      {"--ckpt-interval", "2"},
+      {"--ckpt-auto", "--mtbf", "5"},
+      {"--shard", "1/2"},
+      {"--program-cache", ::testing::TempDir() + "microbench_progs"},
+      {"--no-program-cache"},
+      {"--chaos-exec", "kill:after=1", "--csv", csv},
+  };
+  for (const auto& flags : dropped) {
+    Argv argv(flags);
+    const auto options = sweep::parse_cli(argv.argc(), argv.argv());
+    expect_refusal([&] { reject_unapplied(options); }, flags.front());
+  }
+
+  Argv applied({"smoke", "--csv", csv, "--pp", "2", "--tp", "2", "--dp", "2",
+                "--zero", "1"});
+  const auto options = sweep::parse_cli(applied.argc(), applied.argv());
+  EXPECT_NO_THROW(reject_unapplied(options));
+  EXPECT_NO_THROW(sweep::reject_positionals(options, {"smoke"}));
+  // bench_sim_core applies --csv alone.
+  expect_refusal(
+      [&] {
+        sweep::reject_flags_except(options, {"--csv"}, "microbench");
+      },
+      "--pp");
+
+  // The command line bench_sim_core used to run to completion.
+  Argv sim_core({"smoke", "--faults", "io-error:rate=0.5", "--points", "a=1",
+                 "--shard", "1/2"});
+  const auto dropped_all = sweep::parse_cli(sim_core.argc(), sim_core.argv());
+  expect_refusal(
+      [&] {
+        sweep::reject_flags_except(dropped_all, {"--csv"}, "microbench");
+      },
+      "--points");
+  Argv typo({"smok"});
+  const auto mistyped = sweep::parse_cli(typo.argc(), typo.argv());
+  expect_refusal([&] { sweep::reject_positionals(mistyped, {"smoke"}); },
+                 "'smok'");
 }
 
 TEST(BenchMain, BatchRunReturnsValuesInOrderOrNothing) {

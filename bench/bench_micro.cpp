@@ -185,7 +185,8 @@ static void BM_TensorCachePackUnpack(benchmark::State& state) {
   u::set_log_level(u::LogLevel::error);
   hw::TrainingNode node(hw::catalog::single_gpu_node(2));
   t::TensorFactory factory(*node.gpu(0).allocator);
-  core::SsdOffloader offloader(node, factory, {});
+  core::Offloader offloader(node, factory,
+                           std::make_unique<core::SsdTier>(node, 0));
   core::TensorCacheConfig cfg;
   cfg.offload_budget = 0;  // keep path: measures pure bookkeeping cost
   core::TensorCache cache(node.simulator(), offloader, cfg);

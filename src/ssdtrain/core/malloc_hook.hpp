@@ -6,7 +6,7 @@
 /// every allocation is registered (and deregistered) with GPUDirect Storage
 /// for peak transfer performance — without replacing PyTorch's memory
 /// allocator. Here it attaches to the DeviceAllocator's allocation hook and
-/// tracks the registered footprint; the SSD offloader consults it to decide
+/// tracks the registered footprint; the SSD tier consults it to decide
 /// the per-transfer setup cost (pre-registered buffers skip the cuFile
 /// registration round trip).
 

@@ -1,5 +1,7 @@
 #include "ssdtrain/core/offloader.hpp"
 
+#include <utility>
+
 #include "ssdtrain/fault/injector.hpp"
 #include "ssdtrain/util/check.hpp"
 
@@ -7,6 +9,7 @@ namespace ssdtrain::core {
 
 using tensor::Tensor;
 using tensor::TensorId;
+using FinishToken = sim::SimThreadPool::FinishToken;
 
 namespace {
 
@@ -23,16 +26,6 @@ util::Label load_label(const TensorId& id) {
   return util::Label::tagged(kPrefix, id.stamp, id.shape_key);
 }
 
-util::Label d2h_label(const TensorId& id) {
-  static const util::Label kPrefix("d2h");
-  return util::Label::tagged(kPrefix, id.stamp, id.shape_key);
-}
-
-util::Label h2d_label(const TensorId& id) {
-  static const util::Label kPrefix("h2d");
-  return util::Label::tagged(kPrefix, id.stamp, id.shape_key);
-}
-
 util::Seconds backoff_for(const OffloadFaultPolicy& policy, int attempt) {
   // initial * multiplier^(attempt-1), computed by repeated multiplication so
   // the value is bit-stable across compilers (no libm pow variance).
@@ -41,103 +34,132 @@ util::Seconds backoff_for(const OffloadFaultPolicy& policy, int attempt) {
   return backoff;
 }
 
-/// Degradation ladder, last rung: the offloaded copy is unrecoverable, so
-/// the consumer's tensor is rematerialised on-GPU instead of loaded. The
-/// cost is charged as a plain timer, not a compute-stream task — consumers
-/// of `done` are already enqueued on that FIFO stream, and queueing the
-/// recompute behind them would deadlock.
-void schedule_recompute(hw::TrainingNode& node, const OffloadFaultPolicy& policy,
-                        int gpu_index, OffloaderStats& stats,
-                        sim::CompletionPtr done, Tensor pinned_dst,
-                        IoError reason) {
-  const auto bytes = pinned_dst.bytes();
-  const double per_byte = policy.recompute_seconds_per_byte;
-  const util::Seconds cost =
-      per_byte > 0.0
-          ? per_byte * static_cast<double>(bytes)
-          : node.gpu(gpu_index).gpu->memory_time(bytes) * 4.0;
-  ++stats.load_faults;
-  ++stats.recompute_fallbacks;
-  stats.recompute_fallback_time += cost;
-  if (policy.injector != nullptr) {
-    policy.injector->note_structural(
-        reason.code == IoErrorCode::device_lost ? fault::FaultKind::ssd_dropout
-                                                : fault::FaultKind::io_error,
-        gpu_index,
-        std::string("recompute fallback (") + reason.message() + ")");
+/// Runs \p start once the attempt's setup delay has passed, or right away
+/// for a tier whose flows start inside the attempt (no simulator event).
+template <typename Start>
+void after_setup(sim::Simulator& sim, std::optional<util::Seconds> setup,
+                 Start start) {
+  if (setup) {
+    sim.schedule_after(*setup, std::move(start));
+  } else {
+    start();
   }
-  node.simulator().schedule_after(cost, [done, pinned_dst]() mutable {
-    done->fire();
-    pinned_dst.reset();
-  });
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// SsdOffloader
+// Tiers
 // ---------------------------------------------------------------------------
 
-SsdOffloader::SsdOffloader(hw::TrainingNode& node,
-                           tensor::TensorFactory& factory,
-                           SsdOffloaderConfig config,
-                           const CudaMallocHookLibrary* malloc_hook)
-    : node_(node),
-      factory_(factory),
-      config_(config),
-      malloc_hook_(malloc_hook),
-      store_pool_(node.simulator(), "ssd-store",
-                  static_cast<std::size_t>(config.store_workers)),
-      load_pool_(node.simulator(), "ssd-load",
-                 static_cast<std::size_t>(config.load_workers)) {
-  util::expects(node.has_array(config_.gpu_index),
-                "SSD offloader needs an array for this GPU");
+SsdTier::SsdTier(hw::TrainingNode& node, int gpu_index, bool use_gds,
+                 const CudaMallocHookLibrary* malloc_hook)
+    : OffloadTier(gpu_index,
+                  use_gds ? node.gds_write_path(gpu_index)
+                          : node.bounce_write_path(gpu_index),
+                  use_gds ? node.gds_read_path(gpu_index)
+                          : node.bounce_read_path(gpu_index)),
+      array_(node.array(gpu_index)),
+      malloc_hook_(malloc_hook) {}
+
+std::optional<Placement> SsdTier::allocate(util::Bytes bytes) {
+  return array_.allocate_extent(bytes);
 }
 
-util::Seconds SsdOffloader::transfer_setup_latency() const {
+void SsdTier::free(const Placement& where) {
+  array_.release_extent(std::get<hw::ArrayExtent>(where));
+}
+
+std::optional<util::Seconds> SsdTier::setup_latency() const {
   if (malloc_hook_ != nullptr) {
     return malloc_hook_->transfer_setup_latency(0);
   }
   // No hook library: unregistered buffers, pay the slow path. One shared
-  // uninstalled instance — this runs per transfer, and constructing a
+  // uninstalled instance — this runs per attempt, and constructing a
   // CudaMallocHookLibrary allocates its stats block.
   static const CudaMallocHookLibrary uninstalled;
   return uninstalled.transfer_setup_latency(0);
 }
 
-std::optional<sim::CompletionPtr> SsdOffloader::store(
-    const TensorId& id, const Tensor& t, sim::CompletionPtr ready) {
+void SsdTier::record_write(const Placement& where) {
+  array_.record_write(std::get<hw::ArrayExtent>(where));
+}
+
+void SsdTier::record_read(const Placement& where) {
+  array_.record_read(std::get<hw::ArrayExtent>(where));
+}
+
+bool SsdTier::lost(const Placement& where) const {
+  return array_.extent_lost(std::get<hw::ArrayExtent>(where));
+}
+
+HostTier::HostTier(hw::TrainingNode& node, int gpu_index)
+    : OffloadTier(gpu_index, node.d2h_path(gpu_index),
+                  node.h2d_path(gpu_index)),
+      pool_(node.pinned_pool()) {}
+
+std::optional<Placement> HostTier::allocate(util::Bytes bytes) {
+  std::optional<hw::HostAllocation> allocation = pool_.allocate(bytes);
+  if (!allocation) return std::nullopt;
+  return *allocation;
+}
+
+void HostTier::free(const Placement& where) {
+  pool_.free(std::get<hw::HostAllocation>(where));
+}
+
+std::optional<util::Seconds> HostTier::setup_latency() const {
+  // Injected ssd-latency windows model NVMe-side stalls and do not apply
+  // to the host DMA path; io-error windows do (a flaky PCIe link corrupts
+  // D2H copies just as well).
+  return std::nullopt;
+}
+
+// ---------------------------------------------------------------------------
+// Engine
+// ---------------------------------------------------------------------------
+
+Offloader::Offloader(hw::TrainingNode& node, tensor::TensorFactory& factory,
+                     std::unique_ptr<OffloadTier> tier,
+                     OffloaderConfig config)
+    : node_(node),
+      factory_(factory),
+      tier_(std::move(tier)),
+      config_(config),
+      store_pool_(node.simulator(), "offload-store",
+                  static_cast<std::size_t>(config.store_workers)),
+      load_pool_(node.simulator(), "offload-load",
+                 static_cast<std::size_t>(config.load_workers)) {
+  util::expects(tier_ != nullptr, "offloader needs a tier");
+}
+
+std::optional<sim::CompletionPtr> Offloader::store(const TensorId& id,
+                                                   const Tensor& t,
+                                                   sim::CompletionPtr ready) {
   util::expects(t.defined() && !t.is_cpu(), "store expects a device tensor");
   util::expects(!slots_.contains(id), "tensor already offloaded");
 
-  auto& array = node_.array(config_.gpu_index);
-  Slot slot;
-  slot.extent = array.allocate_extent(t.bytes());
-  slot.store_in_flight = true;
-  slots_.emplace(id, std::move(slot));
+  std::optional<Placement> where = tier_->allocate(t.bytes());
+  if (!where) {
+    // The tier refused (the host tier's pinned pool is exhausted): the
+    // tensor cache keeps the tensor on GPU.
+    ++stats_.failed_stores;
+    return std::nullopt;
+  }
+  slots_.emplace(id, Slot{std::move(*where)});
 
   ++stats_.stores;
   stats_.bytes_stored += t.bytes();
 
-  const auto path = config_.use_gds
-                        ? node_.gds_write_path(config_.gpu_index)
-                        : node_.bounce_write_path(config_.gpu_index);
-  const util::Seconds setup = transfer_setup_latency();
-  const util::Bytes bytes = t.bytes();
-
   // The job holds a strong reference to the tensor for the duration of the
   // transfer: device memory must stay mapped while the DMA engine reads it,
   // even if the tensor cache has already dropped its own reference.
-  Tensor pinned_ref = t;
-  auto done = store_pool_.submit(
+  return store_pool_.submit(
       store_label(id),
-      [this, id, bytes, path, setup, ready,
-       pinned_ref](sim::SimThreadPool::FinishToken finish) mutable {
-        auto begin_io = [this, id, bytes, path = std::move(path), setup,
-                         pinned_ref = std::move(pinned_ref),
+      [this, id, ready, pinned_ref = t](FinishToken finish) mutable {
+        auto begin_io = [this, id, pinned_ref = std::move(pinned_ref),
                          finish]() mutable {
-          store_attempt(id, bytes, std::move(path), setup,
-                        std::move(pinned_ref), finish, 1);
+          store_attempt(id, std::move(pinned_ref), finish, 1);
         };
         if (ready && !ready->done()) {
           ready->add_waiter(std::move(begin_io));
@@ -145,444 +167,207 @@ std::optional<sim::CompletionPtr> SsdOffloader::store(
           begin_io();
         }
       });
-  return done;
 }
 
-void SsdOffloader::store_attempt(const TensorId& id, util::Bytes bytes,
-                                 Path path, util::Seconds setup,
-                                 Tensor pinned_ref,
-                                 sim::SimThreadPool::FinishToken finish,
-                                 int attempt) {
-  auto& sim = node_.simulator();
-  auto& net = node_.network();
-  util::Seconds attempt_setup = setup;
-  if (fault::FaultInjector* injector = config_.fault.injector) {
-    const util::Seconds extra = injector->extra_io_latency(config_.gpu_index);
+Offloader::Attempt Offloader::begin_attempt() {
+  Attempt a{tier_->setup_latency(), {}};
+  fault::FaultInjector* injector = config_.fault.injector;
+  if (injector == nullptr) return a;
+  const int gpu = tier_->gpu_index();
+  if (a.setup) {
+    const util::Seconds extra = injector->extra_io_latency(gpu);
     if (extra > 0.0) {
-      attempt_setup += extra;
+      *a.setup += extra;
       stats_.fault_extra_latency += extra;
     }
-    IoError err = injector->io_attempt(config_.gpu_index);
-    if (!err && config_.fault.attempt_timeout > 0.0 &&
-        attempt_setup >= config_.fault.attempt_timeout) {
-      err = IoError{IoErrorCode::timeout};
-    }
-    if (err) {
-      ++stats_.io_failures;
-      auto it = slots_.find(id);
-      util::check(it != slots_.end(), "store slot vanished");
-      auto& array = node_.array(config_.gpu_index);
-      // The aborted attempt still programmed NAND up to the failure point:
-      // charge the stripes anyway, so retries show up as extra write
-      // amplification in the endurance model.
-      array.record_write(it->second.extent);
-      if (attempt >= config_.fault.max_attempts) {
-        // Retries exhausted: give up on offloading this tensor. The extent
-        // never held valid data; the cache sees store_status() == data_lost
-        // at store-done time and keeps the tensor on GPU instead.
-        array.release_extent(it->second.extent);
-        it->second.store_in_flight = false;
-        it->second.lost = true;
-        ++stats_.store_faults;
-        if (it->second.release_deferred) {
-          slots_.erase(it);
-          ++stats_.releases;
-        }
-        pinned_ref.reset();
-        finish();
-        return;
-      }
-      ++stats_.io_retries;
-      const util::Seconds backoff = backoff_for(config_.fault, attempt);
-      stats_.retry_backoff_time += backoff;
-      // The worker stays occupied across the backoff, as a real retry loop
-      // holding its queue slot would.
-      sim.schedule_after(
-          attempt_setup + backoff,
-          [this, id, bytes, path = std::move(path), setup,
-           pinned_ref = std::move(pinned_ref), finish, attempt]() mutable {
-            store_attempt(id, bytes, std::move(path), setup,
-                          std::move(pinned_ref), finish, attempt + 1);
-          });
+  }
+  a.error = injector->io_attempt(gpu);
+  if (!a.error && a.setup && config_.fault.attempt_timeout > 0.0 &&
+      *a.setup >= config_.fault.attempt_timeout) {
+    a.error = IoError{IoErrorCode::timeout};
+  }
+  if (a.error) ++stats_.io_failures;
+  return a;
+}
+
+void Offloader::retry(const Attempt& failed, int attempt, sim::EventFn next) {
+  ++stats_.io_retries;
+  const util::Seconds backoff = backoff_for(config_.fault, attempt);
+  stats_.retry_backoff_time += backoff;
+  node_.simulator().schedule_after(failed.setup.value_or(0.0) + backoff,
+                                   std::move(next));
+}
+
+void Offloader::store_attempt(const TensorId& id, Tensor pinned_ref,
+                              FinishToken finish, int attempt) {
+  const Attempt a = begin_attempt();
+  if (a.error) {
+    auto it = slot_of(id);
+    // The aborted attempt still wrote up to the failure point: an SSD tier
+    // charges the stripes anyway, so retries show up as extra write
+    // amplification in the endurance model.
+    tier_->record_write(it->second.where);
+    if (attempt >= config_.fault.max_attempts) {
+      // Retries exhausted: give up on offloading this tensor. The placement
+      // never held valid data; the cache sees store_status() == data_lost
+      // at store-done time and keeps the tensor on GPU instead.
+      tier_->free(it->second.where);
+      it->second.lost = true;
+      ++stats_.store_faults;
+      end_store(it);
+      pinned_ref.reset();
+      finish();
       return;
     }
+    retry(a, attempt,
+          [this, id, pinned_ref = std::move(pinned_ref), finish,
+           attempt]() mutable {
+            store_attempt(id, std::move(pinned_ref), finish, attempt + 1);
+          });
+    return;
   }
-  sim.schedule_after(
-      attempt_setup, [this, id, bytes, path = std::move(path),
-                      pinned_ref = std::move(pinned_ref), &net,
-                      finish]() mutable {
-        net.start_flow(
-            store_label(id), bytes, std::move(path),
-            [this, id, pinned_ref, finish]() mutable {
-              auto it = slots_.find(id);
-              util::check(it != slots_.end(), "store slot vanished");
-              auto& array = node_.array(config_.gpu_index);
-              array.record_write(it->second.extent);
-              it->second.store_in_flight = false;
-              if (it->second.release_deferred) {
-                array.release_extent(it->second.extent);
-                slots_.erase(it);
-                ++stats_.releases;
-              }
+  after_setup(
+      node_.simulator(), a.setup,
+      [this, id, pinned_ref = std::move(pinned_ref), finish]() mutable {
+        const util::Bytes bytes = pinned_ref.bytes();
+        node_.network().start_flow(
+            store_label(id), bytes, tier_->write_path(),
+            [this, id, pinned_ref = std::move(pinned_ref), finish]() mutable {
+              auto it = slot_of(id);
+              tier_->record_write(it->second.where);
+              end_store(it);
               pinned_ref.reset();  // transfer done: drop the DMA pin
               finish();
             });
       });
 }
 
-LoadTicket SsdOffloader::load(const TensorId& id, util::Label label,
-                              tensor::TensorShape shape,
-                              tensor::DType dtype) {
+LoadTicket Offloader::load(const TensorId& id, util::Label label,
+                           tensor::TensorShape shape, tensor::DType dtype) {
   auto it = slots_.find(id);
   util::expects(it != slots_.end(), "load of tensor never stored");
   util::expects(!it->second.store_in_flight,
                 "load while store in flight (forwarding should cover this)");
 
-  auto& sim = node_.simulator();
   Tensor dst = factory_.cuda(label, std::move(shape), dtype,
                              hw::MemoryTag::activation);
-  auto done = sim::Completion::create(sim, load_label(id));
+  auto done = sim::Completion::create(node_.simulator(), load_label(id));
   dst.storage()->set_ready_event(done);
 
-  if (config_.fault.injector != nullptr) {
-    IoError gone{};
-    if (it->second.lost) {
-      gone = IoError{IoErrorCode::data_lost};
-    } else if (node_.array(config_.gpu_index).extent_lost(it->second.extent)) {
-      gone = IoError{IoErrorCode::device_lost};
-    }
-    if (gone) {
-      // The copy is unrecoverable (store never landed, or a RAID member
-      // carrying its stripes dropped): skip the load pool entirely and
-      // rematerialise. Not counted as a load — no bytes left the array.
-      schedule_recompute(node_, config_.fault, config_.gpu_index, stats_,
-                         done, dst, gone);
-      return LoadTicket{dst, done};
-    }
-  }
-
-  ++stats_.loads;
-  stats_.bytes_loaded += dst.bytes();
-
-  const auto path = config_.use_gds ? node_.gds_read_path(config_.gpu_index)
-                                    : node_.bounce_read_path(config_.gpu_index);
-  const util::Seconds setup = transfer_setup_latency();
-  const util::Bytes bytes = dst.bytes();
-  const hw::ArrayExtent extent = it->second.extent;
-
-  // Hold the destination alive until the data lands.
-  Tensor pinned_dst = dst;
-  load_pool_.submit(
-      load_label(id),
-      [this, id, bytes, path, setup, extent, done,
-       pinned_dst](sim::SimThreadPool::FinishToken finish) mutable {
-        load_attempt(id, bytes, std::move(path), setup, extent, done,
-                     std::move(pinned_dst), finish, 1);
-      });
-  return LoadTicket{dst, done};
-}
-
-void SsdOffloader::load_attempt(const TensorId& id, util::Bytes bytes,
-                                Path path, util::Seconds setup,
-                                hw::ArrayExtent extent, sim::CompletionPtr done,
-                                Tensor pinned_dst,
-                                sim::SimThreadPool::FinishToken finish,
-                                int attempt) {
-  auto& sim = node_.simulator();
-  auto& net = node_.network();
-  util::Seconds attempt_setup = setup;
-  if (fault::FaultInjector* injector = config_.fault.injector) {
-    const util::Seconds extra = injector->extra_io_latency(config_.gpu_index);
-    if (extra > 0.0) {
-      attempt_setup += extra;
-      stats_.fault_extra_latency += extra;
-    }
-    IoError err = injector->io_attempt(config_.gpu_index);
-    if (!err && config_.fault.attempt_timeout > 0.0 &&
-        attempt_setup >= config_.fault.attempt_timeout) {
-      err = IoError{IoErrorCode::timeout};
-    }
-    if (err) {
-      ++stats_.io_failures;
-      if (attempt >= config_.fault.max_attempts) {
-        // Retries exhausted: escalate down the ladder to recompute. The
-        // bytes were charged optimistically at load() time; no data
-        // actually left the array.
-        stats_.bytes_loaded -= bytes;
-        schedule_recompute(node_, config_.fault, config_.gpu_index, stats_,
-                           done, std::move(pinned_dst), err);
-        finish();
-        return;
-      }
-      ++stats_.io_retries;
-      const util::Seconds backoff = backoff_for(config_.fault, attempt);
-      stats_.retry_backoff_time += backoff;
-      sim.schedule_after(
-          attempt_setup + backoff,
-          [this, id, bytes, path = std::move(path), setup, extent, done,
-           pinned_dst = std::move(pinned_dst), finish, attempt]() mutable {
-            load_attempt(id, bytes, std::move(path), setup, extent, done,
-                         std::move(pinned_dst), finish, attempt + 1);
-          });
-      return;
-    }
-  }
-  sim.schedule_after(
-      attempt_setup,
-      [this, id, bytes, path = std::move(path), extent, done,
-       pinned_dst = std::move(pinned_dst), &net, finish]() mutable {
-        net.start_flow(load_label(id), bytes, std::move(path),
-                       [this, extent, done, pinned_dst, finish]() mutable {
-                         node_.array(config_.gpu_index).record_read(extent);
-                         done->fire();
-                         pinned_dst.reset();
-                         finish();
-                       });
-      });
-}
-
-void SsdOffloader::release(const TensorId& id) {
-  auto it = slots_.find(id);
-  util::expects(it != slots_.end(), "release of unknown tensor");
-  if (it->second.store_in_flight) {
-    it->second.release_deferred = true;
-    return;
-  }
-  if (!it->second.lost) {
-    node_.array(config_.gpu_index).release_extent(it->second.extent);
-  }
-  slots_.erase(it);
-  ++stats_.releases;
-}
-
-std::string SsdOffloader::target_name() const {
-  return "ssd:" + node_.array(config_.gpu_index).name() +
-         (config_.use_gds ? " (gds)" : " (bounce)");
-}
-
-const OffloaderStats& SsdOffloader::stats() const { return stats_; }
-
-IoError SsdOffloader::store_status(const TensorId& id) const {
-  auto it = slots_.find(id);
-  if (it != slots_.end() && it->second.lost) {
-    return IoError{IoErrorCode::data_lost};
-  }
-  return {};
-}
-
-// ---------------------------------------------------------------------------
-// CpuOffloader
-// ---------------------------------------------------------------------------
-
-CpuOffloader::CpuOffloader(hw::TrainingNode& node,
-                           tensor::TensorFactory& factory,
-                           CpuOffloaderConfig config)
-    : node_(node),
-      factory_(factory),
-      config_(config),
-      store_pool_(node.simulator(), "cpu-store",
-                  static_cast<std::size_t>(config.store_workers)),
-      load_pool_(node.simulator(), "cpu-load",
-                 static_cast<std::size_t>(config.load_workers)) {}
-
-std::optional<sim::CompletionPtr> CpuOffloader::store(
-    const TensorId& id, const Tensor& t, sim::CompletionPtr ready) {
-  util::expects(t.defined() && !t.is_cpu(), "store expects a device tensor");
-  util::expects(!slots_.contains(id), "tensor already offloaded");
-
-  auto allocation = node_.pinned_pool().allocate(t.bytes());
-  if (!allocation) {
-    // Pinned pool exhausted: the tensor cache keeps the tensor on GPU.
-    ++stats_.failed_stores;
-    return std::nullopt;
-  }
-  Slot slot;
-  slot.allocation = *allocation;
-  slot.store_in_flight = true;
-  slots_.emplace(id, std::move(slot));
-
-  ++stats_.stores;
-  stats_.bytes_stored += t.bytes();
-
-  const auto path = node_.d2h_path(config_.gpu_index);
-  const util::Bytes bytes = t.bytes();
-
-  Tensor pinned_ref = t;
-  auto done = store_pool_.submit(
-      store_label(id),
-      [this, id, bytes, path, ready,
-       pinned_ref](sim::SimThreadPool::FinishToken finish) mutable {
-        auto begin_io = [this, id, bytes, path = std::move(path),
-                         pinned_ref = std::move(pinned_ref),
-                         finish]() mutable {
-          store_attempt(id, bytes, std::move(path), std::move(pinned_ref),
-                        finish, 1);
-        };
-        if (ready && !ready->done()) {
-          ready->add_waiter(std::move(begin_io));
-        } else {
-          begin_io();
-        }
-      });
-  return done;
-}
-
-void CpuOffloader::store_attempt(const TensorId& id, util::Bytes bytes,
-                                 Path path, Tensor pinned_ref,
-                                 sim::SimThreadPool::FinishToken finish,
-                                 int attempt) {
-  auto& sim = node_.simulator();
-  auto& net = node_.network();
-  // The injected ssd-latency windows model NVMe-side stalls and do not
-  // apply to the host DMA path; io-error windows do (a flaky PCIe link
-  // corrupts D2H copies just as well).
-  if (fault::FaultInjector* injector = config_.fault.injector) {
-    IoError err = injector->io_attempt(config_.gpu_index);
-    if (err) {
-      ++stats_.io_failures;
-      auto it = slots_.find(id);
-      util::check(it != slots_.end(), "store slot vanished");
-      if (attempt >= config_.fault.max_attempts) {
-        node_.pinned_pool().free(it->second.allocation);
-        it->second.store_in_flight = false;
-        it->second.lost = true;
-        ++stats_.store_faults;
-        if (it->second.release_deferred) {
-          slots_.erase(it);
-          ++stats_.releases;
-        }
-        pinned_ref.reset();
-        finish();
-        return;
-      }
-      ++stats_.io_retries;
-      const util::Seconds backoff = backoff_for(config_.fault, attempt);
-      stats_.retry_backoff_time += backoff;
-      sim.schedule_after(
-          backoff, [this, id, bytes, path = std::move(path),
-                    pinned_ref = std::move(pinned_ref), finish,
-                    attempt]() mutable {
-            store_attempt(id, bytes, std::move(path), std::move(pinned_ref),
-                          finish, attempt + 1);
-          });
-      return;
-    }
-  }
-  net.start_flow(d2h_label(id), bytes, std::move(path),
-                 [this, id, pinned_ref, finish]() mutable {
-                   auto it = slots_.find(id);
-                   util::check(it != slots_.end(), "store slot vanished");
-                   it->second.store_in_flight = false;
-                   if (it->second.release_deferred) {
-                     node_.pinned_pool().free(it->second.allocation);
-                     slots_.erase(it);
-                     ++stats_.releases;
-                   }
-                   pinned_ref.reset();
-                   finish();
-                 });
-}
-
-LoadTicket CpuOffloader::load(const TensorId& id, util::Label label,
-                              tensor::TensorShape shape,
-                              tensor::DType dtype) {
-  auto it = slots_.find(id);
-  util::expects(it != slots_.end(), "load of tensor never stored");
-  util::expects(!it->second.store_in_flight,
-                "load while store in flight (forwarding should cover this)");
-
-  auto& sim = node_.simulator();
-  Tensor dst = factory_.cuda(label, std::move(shape), dtype,
-                             hw::MemoryTag::activation);
-  auto done = sim::Completion::create(sim, load_label(id));
-  dst.storage()->set_ready_event(done);
-
-  if (config_.fault.injector != nullptr && it->second.lost) {
-    schedule_recompute(node_, config_.fault, config_.gpu_index, stats_, done,
-                       dst, IoError{IoErrorCode::data_lost});
+  if (config_.fault.injector != nullptr &&
+      (it->second.lost || tier_->lost(it->second.where))) {
+    // The copy is unrecoverable (store never landed, or a RAID member
+    // carrying its stripes dropped): skip the load pool entirely and
+    // rematerialise. Not counted as a load — no bytes left the tier.
+    schedule_recompute(done, dst);
     return LoadTicket{dst, done};
   }
 
   ++stats_.loads;
   stats_.bytes_loaded += dst.bytes();
 
-  const auto path = node_.h2d_path(config_.gpu_index);
-  const util::Bytes bytes = dst.bytes();
-
-  Tensor pinned_dst = dst;
-  load_pool_.submit(
-      load_label(id),
-      [this, id, bytes, path, done,
-       pinned_dst](sim::SimThreadPool::FinishToken finish) mutable {
-        load_attempt(id, bytes, std::move(path), done, std::move(pinned_dst),
-                     finish, 1);
-      });
+  // Hold the destination alive until the data lands.
+  load_pool_.submit(load_label(id),
+                    [this, id, where = it->second.where, done,
+                     pinned_dst = dst](FinishToken finish) mutable {
+                      load_attempt(id, std::move(where), done,
+                                   std::move(pinned_dst), finish, 1);
+                    });
   return LoadTicket{dst, done};
 }
 
-void CpuOffloader::load_attempt(const TensorId& id, util::Bytes bytes,
-                                Path path, sim::CompletionPtr done,
-                                Tensor pinned_dst,
-                                sim::SimThreadPool::FinishToken finish,
-                                int attempt) {
-  auto& sim = node_.simulator();
-  auto& net = node_.network();
-  if (fault::FaultInjector* injector = config_.fault.injector) {
-    IoError err = injector->io_attempt(config_.gpu_index);
-    if (err) {
-      ++stats_.io_failures;
-      if (attempt >= config_.fault.max_attempts) {
-        stats_.bytes_loaded -= bytes;
-        schedule_recompute(node_, config_.fault, config_.gpu_index, stats_,
-                           done, std::move(pinned_dst), err);
-        finish();
-        return;
-      }
-      ++stats_.io_retries;
-      const util::Seconds backoff = backoff_for(config_.fault, attempt);
-      stats_.retry_backoff_time += backoff;
-      sim.schedule_after(
-          backoff, [this, id, bytes, path = std::move(path), done,
-                    pinned_dst = std::move(pinned_dst), finish,
-                    attempt]() mutable {
-            load_attempt(id, bytes, std::move(path), done,
-                         std::move(pinned_dst), finish, attempt + 1);
-          });
+void Offloader::load_attempt(const TensorId& id, Placement where,
+                             sim::CompletionPtr done, Tensor pinned_dst,
+                             FinishToken finish, int attempt) {
+  const Attempt a = begin_attempt();
+  if (a.error) {
+    if (attempt >= config_.fault.max_attempts) {
+      // Retries exhausted: escalate down the ladder to recompute. The
+      // bytes were charged optimistically at load() time; no data
+      // actually left the tier.
+      stats_.bytes_loaded -= pinned_dst.bytes();
+      schedule_recompute(std::move(done), std::move(pinned_dst));
+      finish();
       return;
     }
+    retry(a, attempt,
+          [this, id, where = std::move(where), done = std::move(done),
+           pinned_dst = std::move(pinned_dst), finish, attempt]() mutable {
+            load_attempt(id, std::move(where), std::move(done),
+                         std::move(pinned_dst), finish, attempt + 1);
+          });
+    return;
   }
-  net.start_flow(h2d_label(id), bytes, std::move(path),
-                 [done, pinned_dst, finish]() mutable {
-                   done->fire();
-                   pinned_dst.reset();
-                   finish();
-                 });
+  after_setup(
+      node_.simulator(), a.setup,
+      [this, id, where = std::move(where), done = std::move(done),
+       pinned_dst = std::move(pinned_dst), finish]() mutable {
+        const util::Bytes bytes = pinned_dst.bytes();
+        node_.network().start_flow(
+            load_label(id), bytes, tier_->read_path(),
+            [this, where = std::move(where), done = std::move(done),
+             pinned_dst = std::move(pinned_dst), finish]() mutable {
+              tier_->record_read(where);
+              done->fire();
+              pinned_dst.reset();
+              finish();
+            });
+      });
 }
 
-void CpuOffloader::release(const TensorId& id) {
+void Offloader::schedule_recompute(sim::CompletionPtr done,
+                                   Tensor pinned_dst) {
+  // The cost is charged as a plain timer, not a compute-stream task —
+  // consumers of `done` are already enqueued on that FIFO stream, and
+  // queueing the recompute behind them would deadlock.
+  const auto bytes = pinned_dst.bytes();
+  const double per_byte = config_.fault.recompute_seconds_per_byte;
+  const util::Seconds cost =
+      per_byte > 0.0
+          ? per_byte * static_cast<double>(bytes)
+          : node_.gpu(tier_->gpu_index()).gpu->memory_time(bytes) * 4.0;
+  ++stats_.load_faults;
+  ++stats_.recompute_fallbacks;
+  stats_.recompute_fallback_time += cost;
+  node_.simulator().schedule_after(cost, [done, pinned_dst]() mutable {
+    done->fire();
+    pinned_dst.reset();
+  });
+}
+
+void Offloader::release(const TensorId& id) {
   auto it = slots_.find(id);
   util::expects(it != slots_.end(), "release of unknown tensor");
   if (it->second.store_in_flight) {
     it->second.release_deferred = true;
     return;
   }
-  if (!it->second.lost) {
-    node_.pinned_pool().free(it->second.allocation);
-  }
-  slots_.erase(it);
-  ++stats_.releases;
+  drop_slot(it);
 }
 
-std::string CpuOffloader::target_name() const { return "cpu:pinned-pool"; }
-
-const OffloaderStats& CpuOffloader::stats() const { return stats_; }
-
-IoError CpuOffloader::store_status(const TensorId& id) const {
+IoError Offloader::store_status(const TensorId& id) const {
   auto it = slots_.find(id);
   if (it != slots_.end() && it->second.lost) {
     return IoError{IoErrorCode::data_lost};
   }
   return {};
+}
+
+Offloader::SlotMap::iterator Offloader::slot_of(const TensorId& id) {
+  auto it = slots_.find(id);
+  util::check(it != slots_.end(), "store slot vanished");
+  return it;
+}
+
+void Offloader::end_store(SlotMap::iterator it) {
+  it->second.store_in_flight = false;
+  if (it->second.release_deferred) drop_slot(it);
+}
+
+void Offloader::drop_slot(SlotMap::iterator it) {
+  if (!it->second.lost) tier_->free(it->second.where);
+  slots_.erase(it);
+  ++stats_.releases;
 }
 
 }  // namespace ssdtrain::core

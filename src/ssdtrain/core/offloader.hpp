@@ -1,21 +1,28 @@
 #pragma once
 
 /// \file offloader.hpp
-/// Offloader backends (paper §III-A). Each offloader encapsulates the logic
-/// to transfer CUDA tensors to and from one target:
-///   * SsdOffloader — NVMe RAID0 array in the same node, via the GDS direct
+/// The offloader (paper §III-A): one engine that moves CUDA tensors out to
+/// an offload target and back, over one of two tiers:
+///   * SsdTier — the NVMe RAID0 array in the same node, via the GDS direct
 ///     path (GPU -> PCIe -> SSD, no host bounce) or the bounce path for the
-///     no-GDS ablation. Two FIFO thread pools (store, load) issue the I/O.
-///   * CpuOffloader — host pinned-memory pool over the plain D2H/H2D path
+///     no-GDS ablation;
+///   * HostTier — the host pinned-memory pool over the plain D2H/H2D path
 ///     (the paper positions this for future remote-storage work).
-/// Store jobs wait for the producing kernel's completion before touching
-/// the data; load completions become the ready events consumers wait on.
+/// The engine owns everything the two tiers share: the two FIFO thread
+/// pools (store, load) that issue the I/O, one slot per offloaded tensor,
+/// the statistics, the retry ladders of the fault policy and the deferred
+/// release. A tier only places the bytes, names the transfer paths and
+/// says how long an attempt takes to start. Store jobs wait for the
+/// producing kernel's completion before touching the data; load
+/// completions become the ready events consumers wait on.
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
-#include <string>
 #include <utility>
+#include <variant>
+#include <vector>
 
 #include "ssdtrain/core/malloc_hook.hpp"
 #include "ssdtrain/fault/io_error.hpp"
@@ -38,7 +45,7 @@ struct OffloaderStats {
   util::Bytes bytes_stored = 0;
   util::Bytes bytes_loaded = 0;  ///< bytes read back from the target
   std::uint64_t releases = 0;
-  std::uint64_t failed_stores = 0;  ///< CPU offloader: pinned pool exhausted
+  std::uint64_t failed_stores = 0;  ///< host tier: pinned pool exhausted
 
   // Fault-injection reactions (all zero with the injector disabled).
   std::uint64_t io_retries = 0;     ///< attempts re-issued after an error
@@ -78,158 +85,185 @@ struct LoadTicket {
   sim::CompletionPtr done;
 };
 
+/// Where one offloaded copy lives. Each tier only ever sees its own kind.
+using Placement = std::variant<hw::ArrayExtent, hw::HostAllocation>;
+
+/// The storage behind the offload engine. The engine decides when bytes
+/// move and what a failed attempt means; the tier decides where they go.
+class OffloadTier {
+ public:
+  using Path = std::vector<sim::BandwidthNetwork::ResourceId>;
+
+  OffloadTier(int gpu_index, Path write_path, Path read_path)
+      : gpu_index_(gpu_index),
+        write_path_(std::move(write_path)),
+        read_path_(std::move(read_path)) {}
+  virtual ~OffloadTier() = default;
+  OffloadTier(const OffloadTier&) = delete;
+  OffloadTier& operator=(const OffloadTier&) = delete;
+
+  /// The GPU whose activations the tier holds.
+  [[nodiscard]] int gpu_index() const { return gpu_index_; }
+  /// Flow paths of a store (GPU -> tier) and of a load (tier -> GPU).
+  [[nodiscard]] const Path& write_path() const { return write_path_; }
+  [[nodiscard]] const Path& read_path() const { return read_path_; }
+
+  /// Room for \p bytes, or std::nullopt when the tier refuses the store.
+  [[nodiscard]] virtual std::optional<Placement> allocate(
+      util::Bytes bytes) = 0;
+  virtual void free(const Placement& where) = 0;
+
+  /// Delay between an attempt and the start of its flow, or std::nullopt
+  /// for a tier whose flows start inside the attempt. Only a tier with a
+  /// delay pays injected ssd-latency and can time out.
+  [[nodiscard]] virtual std::optional<util::Seconds> setup_latency()
+      const = 0;
+
+  /// Wear and loss accounting; a tier without any keeps these no-ops.
+  /// record_write runs once per store attempt, failed ones included (an
+  /// aborted write still programmed NAND up to its failure point);
+  /// record_read once per load that landed.
+  virtual void record_write(const Placement& where) { (void)where; }
+  virtual void record_read(const Placement& where) { (void)where; }
+  /// True once a device holding part of \p where has dropped out.
+  [[nodiscard]] virtual bool lost(const Placement& where) const {
+    (void)where;
+    return false;
+  }
+
+ private:
+  int gpu_index_;
+  Path write_path_;
+  Path read_path_;
+};
+
+/// Extents on the GPU's RAID0 array. Every attempt pays the per-transfer
+/// setup latency (and any injected ssd-latency) before its flow starts.
+class SsdTier final : public OffloadTier {
+ public:
+  /// \p use_gds false bounces through host memory (the no-GDS ablation).
+  /// With \p malloc_hook (the CUDA-malloc-hook library) buffers are
+  /// pre-registered with GDS; without it every I/O pays a registration
+  /// round trip.
+  SsdTier(hw::TrainingNode& node, int gpu_index, bool use_gds = true,
+          const CudaMallocHookLibrary* malloc_hook = nullptr);
+
+  std::optional<Placement> allocate(util::Bytes bytes) override;
+  void free(const Placement& where) override;
+  [[nodiscard]] std::optional<util::Seconds> setup_latency() const override;
+  void record_write(const Placement& where) override;
+  void record_read(const Placement& where) override;
+  [[nodiscard]] bool lost(const Placement& where) const override;
+
+ private:
+  hw::Raid0Array& array_;
+  const CudaMallocHookLibrary* malloc_hook_;
+};
+
+/// Allocations in the node's pinned host pool. The only tier that can
+/// refuse a store (pool exhausted); its flows start inside the attempt.
+class HostTier final : public OffloadTier {
+ public:
+  HostTier(hw::TrainingNode& node, int gpu_index);
+
+  std::optional<Placement> allocate(util::Bytes bytes) override;
+  void free(const Placement& where) override;
+  [[nodiscard]] std::optional<util::Seconds> setup_latency() const override;
+
+ private:
+  hw::PinnedMemoryPool& pool_;
+};
+
+struct OffloaderConfig {
+  int store_workers = 2;
+  int load_workers = 2;
+  OffloadFaultPolicy fault;
+};
+
 class Offloader {
  public:
-  virtual ~Offloader() = default;
+  Offloader(hw::TrainingNode& node, tensor::TensorFactory& factory,
+            std::unique_ptr<OffloadTier> tier, OffloaderConfig config = {});
+  Offloader(const Offloader&) = delete;
+  Offloader& operator=(const Offloader&) = delete;
 
   /// Begins storing \p t under \p id. The transfer starts once \p ready
   /// fires (producer kernel done) and a store-pool worker is free. Returns
-  /// the store completion, or std::nullopt if this offloader cannot take
-  /// the tensor right now (caller should keep it in GPU memory).
-  virtual std::optional<sim::CompletionPtr> store(
-      const tensor::TensorId& id, const tensor::Tensor& t,
-      sim::CompletionPtr ready) = 0;
+  /// the store completion, or std::nullopt if the tier cannot take the
+  /// tensor right now (caller should keep it in GPU memory).
+  std::optional<sim::CompletionPtr> store(const tensor::TensorId& id,
+                                          const tensor::Tensor& t,
+                                          sim::CompletionPtr ready);
 
   /// Begins loading \p id back into a fresh device tensor. \p label names
   /// the destination tensor and is RETAINED for the tensor's lifetime
   /// (tensors carry interned labels now), so pass an owning form —
   /// interned or Label::suffixed — never a Label::view over scratch text.
-  virtual LoadTicket load(const tensor::TensorId& id, util::Label label,
-                          tensor::TensorShape shape, tensor::DType dtype) = 0;
+  LoadTicket load(const tensor::TensorId& id, util::Label label,
+                  tensor::TensorShape shape, tensor::DType dtype);
 
   /// Releases the offloaded copy (TRIM on SSD, pool free on host). Safe to
   /// call while a store is still in flight — the release is deferred until
   /// the store completes.
-  virtual void release(const tensor::TensorId& id) = 0;
+  void release(const tensor::TensorId& id);
 
-  [[nodiscard]] virtual std::string target_name() const = 0;
-  [[nodiscard]] virtual const OffloaderStats& stats() const = 0;
+  [[nodiscard]] const OffloaderStats& stats() const { return stats_; }
 
   /// Typed status of the offloaded copy of \p id: data_lost after a store
   /// permanently failed (the cache then keeps the tensor on GPU instead of
   /// dropping it). none for healthy or unknown ids.
-  [[nodiscard]] virtual IoError store_status(const tensor::TensorId& id) const {
-    (void)id;
-    return {};
-  }
-};
-
-struct SsdOffloaderConfig {
-  int gpu_index = 0;
-  int store_workers = 2;
-  int load_workers = 2;
-  bool use_gds = true;  ///< false: bounce through host memory (ablation)
-  OffloadFaultPolicy fault;
-};
-
-class SsdOffloader final : public Offloader {
- public:
-  SsdOffloader(hw::TrainingNode& node, tensor::TensorFactory& factory,
-               SsdOffloaderConfig config,
-               const CudaMallocHookLibrary* malloc_hook = nullptr);
-
-  std::optional<sim::CompletionPtr> store(const tensor::TensorId& id,
-                                          const tensor::Tensor& t,
-                                          sim::CompletionPtr ready) override;
-  LoadTicket load(const tensor::TensorId& id, util::Label label,
-                  tensor::TensorShape shape, tensor::DType dtype) override;
-  void release(const tensor::TensorId& id) override;
-
-  [[nodiscard]] std::string target_name() const override;
-  [[nodiscard]] const OffloaderStats& stats() const override;
-  [[nodiscard]] IoError store_status(const tensor::TensorId& id) const
-      override;
-
-  [[nodiscard]] const sim::SimThreadPool& store_pool() const {
-    return store_pool_;
-  }
-  [[nodiscard]] const sim::SimThreadPool& load_pool() const {
-    return load_pool_;
-  }
+  [[nodiscard]] IoError store_status(const tensor::TensorId& id) const;
 
  private:
   struct Slot {
-    hw::ArrayExtent extent;
-    bool store_in_flight = false;
+    Placement where;
+    bool store_in_flight = true;
     bool release_deferred = false;
-    bool lost = false;  ///< store permanently failed; no data on the array
+    bool lost = false;  ///< store permanently failed; placement freed
+  };
+  using SlotMap = std::map<tensor::TensorId, Slot>;
+
+  /// One attempt's verdict: its setup delay (std::nullopt: the flow starts
+  /// inside the attempt) and the error it fails with, if any.
+  struct Attempt {
+    std::optional<util::Seconds> setup;
+    IoError error;
   };
 
-  using Path = std::vector<sim::BandwidthNetwork::ResourceId>;
+  /// Prices an attempt (the tier's setup plus injected ssd-latency) and
+  /// draws its outcome from the injector.
+  Attempt begin_attempt();
+  /// Re-issues a failed attempt after its setup delay plus the backoff for
+  /// \p attempt. The worker stays occupied across the backoff, as a real
+  /// retry loop holding its queue slot would.
+  void retry(const Attempt& failed, int attempt, sim::EventFn next);
 
-  /// One store/load attempt: consults the injector, pays injected latency,
-  /// retries with exponential backoff on transient errors, and escalates
-  /// (store: keep-on-GPU; load: recompute fallback) once attempts run out.
-  void store_attempt(const tensor::TensorId& id, util::Bytes bytes, Path path,
-                     util::Seconds setup, tensor::Tensor pinned_ref,
+  /// The store ladder: attempt, retry with backoff, and once attempts run
+  /// out keep the tensor on GPU (store_status() turns data_lost).
+  void store_attempt(const tensor::TensorId& id, tensor::Tensor pinned_ref,
                      sim::SimThreadPool::FinishToken finish, int attempt);
-  void load_attempt(const tensor::TensorId& id, util::Bytes bytes, Path path,
-                    util::Seconds setup, hw::ArrayExtent extent,
+  /// The load ladder: attempt, retry with backoff, and once attempts run
+  /// out rematerialise the tensor instead.
+  void load_attempt(const tensor::TensorId& id, Placement where,
                     sim::CompletionPtr done, tensor::Tensor pinned_dst,
                     sim::SimThreadPool::FinishToken finish, int attempt);
+  /// Degradation ladder, last rung: fires \p done after the recompute cost
+  /// of the lost bytes.
+  void schedule_recompute(sim::CompletionPtr done, tensor::Tensor pinned_dst);
 
-  /// Per-transfer setup latency: with the CUDA-malloc-hook library the
-  /// buffers are pre-registered with GDS; without it cuFileWrite pays a
-  /// registration round trip per I/O.
-  [[nodiscard]] util::Seconds transfer_setup_latency() const;
+  SlotMap::iterator slot_of(const tensor::TensorId& id);
+  /// A store left flight; a release that arrived meanwhile runs now.
+  void end_store(SlotMap::iterator it);
+  /// Frees the slot's placement (a lost store has none left) and forgets it.
+  void drop_slot(SlotMap::iterator it);
 
   hw::TrainingNode& node_;
   tensor::TensorFactory& factory_;
-  SsdOffloaderConfig config_;
-  const CudaMallocHookLibrary* malloc_hook_;
+  std::unique_ptr<OffloadTier> tier_;
+  OffloaderConfig config_;
   sim::SimThreadPool store_pool_;
   sim::SimThreadPool load_pool_;
-  std::map<tensor::TensorId, Slot> slots_;
-  OffloaderStats stats_;
-};
-
-struct CpuOffloaderConfig {
-  int gpu_index = 0;
-  int store_workers = 2;
-  int load_workers = 2;
-  OffloadFaultPolicy fault;
-};
-
-class CpuOffloader final : public Offloader {
- public:
-  CpuOffloader(hw::TrainingNode& node, tensor::TensorFactory& factory,
-               CpuOffloaderConfig config);
-
-  std::optional<sim::CompletionPtr> store(const tensor::TensorId& id,
-                                          const tensor::Tensor& t,
-                                          sim::CompletionPtr ready) override;
-  LoadTicket load(const tensor::TensorId& id, util::Label label,
-                  tensor::TensorShape shape, tensor::DType dtype) override;
-  void release(const tensor::TensorId& id) override;
-
-  [[nodiscard]] std::string target_name() const override;
-  [[nodiscard]] const OffloaderStats& stats() const override;
-  [[nodiscard]] IoError store_status(const tensor::TensorId& id) const
-      override;
-
- private:
-  struct Slot {
-    hw::HostAllocation allocation;
-    bool store_in_flight = false;
-    bool release_deferred = false;
-    bool lost = false;  ///< store permanently failed; allocation freed
-  };
-
-  using Path = std::vector<sim::BandwidthNetwork::ResourceId>;
-
-  void store_attempt(const tensor::TensorId& id, util::Bytes bytes, Path path,
-                     tensor::Tensor pinned_ref,
-                     sim::SimThreadPool::FinishToken finish, int attempt);
-  void load_attempt(const tensor::TensorId& id, util::Bytes bytes, Path path,
-                    sim::CompletionPtr done, tensor::Tensor pinned_dst,
-                    sim::SimThreadPool::FinishToken finish, int attempt);
-
-  hw::TrainingNode& node_;
-  tensor::TensorFactory& factory_;
-  CpuOffloaderConfig config_;
-  sim::SimThreadPool store_pool_;
-  sim::SimThreadPool load_pool_;
-  std::map<tensor::TensorId, Slot> slots_;
+  SlotMap slots_;
   OffloaderStats stats_;
 };
 

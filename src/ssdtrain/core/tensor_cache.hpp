@@ -223,6 +223,11 @@ class TensorCache {
   [[nodiscard]] EntryState entry_state(const tensor::TensorId& id) const;
   /// Live state of entry \p index (tests).
   [[nodiscard]] EntryState entry_state(std::uint32_t index) const;
+  /// Whether entry \p index holds an offloaded copy or is writing one:
+  /// false once its store failed for good or was refused.
+  [[nodiscard]] bool entry_stored(std::uint32_t index) const {
+    return entries_[index].stored;
+  }
 
  private:
   /// Live state of one entry; its constants are entry_table()[index].

@@ -72,16 +72,15 @@ class FaultInjector {
   /// Sum of the active ssd-latency windows covering \p gpu.
   [[nodiscard]] util::Seconds extra_io_latency(int gpu) const;
 
-  /// Bumped by every structural fault (member dropout, stage crash,
-  /// recompute fallback). Sessions compare it against the value they last
-  /// saw and discard recorded StepPrograms when it moved; timing-only
-  /// faults never touch it.
+  /// Bumped by every structural fault: a RAID member dropout, or a stage
+  /// crash that keeps its state. Sessions compare it against the value they
+  /// last saw and discard recorded StepPrograms when it moved. Timing-only
+  /// faults never touch it, and neither do the offloader's reactions: a
+  /// recompute fallback after a transient error only delays one load, and
+  /// one after a dropout follows the dropout that already bumped it.
   [[nodiscard]] std::uint64_t structural_epoch() const {
     return structural_epoch_;
   }
-  /// Records a structural reaction that happened outside the injector (the
-  /// offloader's recompute fallback) and bumps the epoch.
-  void note_structural(FaultKind kind, int gpu, std::string detail);
 
   /// Applies a fault at the current simulated instant (benches and tests
   /// trigger dropouts at step boundaries); windowed kinds run from now for
@@ -119,6 +118,8 @@ class FaultInjector {
   void schedule_windows(std::size_t index);
   void apply_begin(std::size_t index);
   void apply_end(std::size_t index);
+  /// Logs a structural fault and bumps the epoch.
+  void note_structural(FaultKind kind, int gpu, std::string detail);
   void apply_dropout(const FaultSpec& spec);
   void apply_stage_crash(const FaultSpec& spec);
   void refresh_derates(FaultKind kind, int gpu);

@@ -256,7 +256,7 @@ ClusterSession::ClusterSession(ClusterConfig config)
     }
   }
 
-  // One pinned pool shared by every stage's CPU offloader.
+  // One pinned pool shared by every stage's host tier.
   reserve_pinned_pool(*node_, config_.strategy, cpu_budget);
 }
 

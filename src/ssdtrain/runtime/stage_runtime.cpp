@@ -27,33 +27,27 @@ StageRuntime::StageRuntime(hw::TrainingNode& node,
                                          std::move(spec.executor));
   if (!offloads(options_.strategy)) return;
 
+  std::unique_ptr<core::OffloadTier> tier;
   util::BytesPerSecond target_bw = 0.0;
   if (offloads_to_ssd(options_.strategy)) {
     util::expects(node_.has_array(gpu_),
                   "SSDTrain strategy needs an SSD array on GPU " +
                       std::to_string(gpu_));
-    core::SsdOffloaderConfig ssd_cfg;
-    ssd_cfg.gpu_index = gpu_;
-    ssd_cfg.store_workers = options_.store_workers;
-    ssd_cfg.load_workers = options_.load_workers;
-    ssd_cfg.use_gds = options_.use_gds;
-    ssd_cfg.fault = options_.fault_policy;
-    ssd_cfg.fault.injector = injector_;
-    offloader_ = std::make_unique<core::SsdOffloader>(
-        node_, executor_->factory(), ssd_cfg, spec.malloc_hook);
+    tier = std::make_unique<core::SsdTier>(node_, gpu_, options_.use_gds,
+                                           spec.malloc_hook);
     target_bw = ssd_target_bandwidth();
   } else {
-    core::CpuOffloaderConfig cpu_cfg;
-    cpu_cfg.gpu_index = gpu_;
-    cpu_cfg.store_workers = options_.store_workers;
-    cpu_cfg.load_workers = options_.load_workers;
-    cpu_cfg.fault = options_.fault_policy;
-    cpu_cfg.fault.injector = injector_;
-    offloader_ = std::make_unique<core::CpuOffloader>(
-        node_, executor_->factory(), cpu_cfg);
+    tier = std::make_unique<core::HostTier>(node_, gpu_);
     target_bw = std::min(hw::effective_bandwidth(node_.config().pcie),
                          node_.config().dram_bandwidth);
   }
+  core::OffloaderConfig offload_cfg;
+  offload_cfg.store_workers = options_.store_workers;
+  offload_cfg.load_workers = options_.load_workers;
+  offload_cfg.fault = options_.fault_policy;
+  offload_cfg.fault.injector = injector_;
+  offloader_ = std::make_unique<core::Offloader>(node_, executor_->factory(),
+                                                 std::move(tier), offload_cfg);
 
   // Adaptive planning (Fig. 3): set the offload amount from the stage's
   // compute/activation profile, the GPU throughput, and the target's

@@ -137,7 +137,7 @@ class StageRuntime {
   bool replay_dead_ = false;  ///< a recording came back non-replayable
 };
 
-/// Sizes the node's shared pinned pool for the CPU offloader (a no-op for
+/// Sizes the node's shared pinned pool for the host tier (a no-op for
 /// the other strategies): the planned offload budget of every stage plus
 /// headroom for in-flight transfers, at least 1 GiB (paper §III-A).
 void reserve_pinned_pool(hw::TrainingNode& node, Strategy strategy,

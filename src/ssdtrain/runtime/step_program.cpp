@@ -101,10 +101,20 @@ void StepRecorder::on_allocator_event(std::uint64_t id, bool is_free) {
     // Synchronous death between ops (the planner dropped the last handle,
     // a graph node cleared its saved values, or a release drained the
     // cache's reference): replay must free the storage at exactly this
-    // position, so every live aliasing slot drops here.
+    // position, so every live aliasing slot drops here. One exception: a
+    // slot stored as a cache entry that holds no offloaded copy. Its store
+    // failed for good (or was refused) while recording, so the cache kept
+    // the tensor until this release; a replay whose store lands frees it
+    // in the store waiter instead, as a death inside the simulation.
     for (std::uint32_t slot : it->second) {
-      if (!slots_[slot].alive) continue;
-      slots_[slot].alive = false;
+      SlotInfo& info = slots_[slot];
+      if (!info.alive) continue;
+      if (info.store_entry != kNoEntry &&
+          !cache_->entry_stored(info.store_entry)) {
+        info.drop_pending = true;
+        continue;
+      }
+      info.alive = false;
       push(StepProgram::OpKind::drop_value).a = slot;
     }
   }
@@ -233,7 +243,10 @@ void StepRecorder::cache_pack_keep(const Tensor& t, std::uint32_t entry,
 }
 
 void StepRecorder::cache_pack_store(const Tensor& t, std::uint32_t entry) {
-  pack_entry(StepProgram::OpKind::pack_store, t, entry);
+  const std::uint32_t slot =
+      pack_entry(StepProgram::OpKind::pack_store, t, entry).b;
+  // slot_of() answers 0 for a tensor outside the (possibly empty) table.
+  if (slot < slots_.size()) slots_[slot].store_entry = entry;
 }
 
 void StepRecorder::cache_unpack_passthrough() {

@@ -193,11 +193,15 @@ class StepRecorder final : public core::TensorCache::TraceRecorder {
   /// silently truncating.
   static constexpr std::size_t kMaxOpCount = 0xFFFF;
 
+  static constexpr std::uint32_t kNoEntry = 0xFFFFFFFF;
+
   struct SlotInfo {
     std::size_t last_use_op = 0;
     std::uint64_t allocation_id = 0;  ///< 0 for host storage
+    std::uint32_t store_entry = kNoEntry;  ///< cache entry it was stored as
     bool alive = true;       ///< no drop op emitted yet
-    bool drop_pending = false;  ///< died in-sim: drop after last_use_op
+    /// Died in-sim (or was kept by a failed store): drop after last_use_op.
+    bool drop_pending = false;
   };
 
   std::uint32_t new_slot(const tensor::Tensor& t);

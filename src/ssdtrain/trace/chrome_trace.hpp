@@ -33,9 +33,8 @@ class ChromeTrace {
 
   /// Renders a fault log onto a "faults" track: window begin/end pairs
   /// become slices spanning the window, structural events (dropouts, stage
-  /// crashes, recompute fallbacks) become zero-width markers at the instant
-  /// they fired. \p horizon caps open-ended windows at the end of the
-  /// traced range.
+  /// crashes) become zero-width markers at the instant they fired.
+  /// \p horizon caps open-ended windows at the end of the traced range.
   void append_fault_events(const std::vector<fault::FaultEvent>& log,
                            util::Seconds horizon);
 

@@ -26,7 +26,8 @@ class CacheTest : public ::testing::Test {
   CacheTest()
       : node_(hw::catalog::single_gpu_node(2)),
         factory_(*node_.gpu(0).allocator),
-        offloader_(node_, factory_, {}) {}
+        offloader_(node_, factory_,
+                   std::make_unique<core::SsdTier>(node_, 0)) {}
 
   core::TensorCache make_cache(core::TensorCacheConfig cfg = {}) {
     return core::TensorCache(node_.simulator(), offloader_, cfg);
@@ -39,7 +40,7 @@ class CacheTest : public ::testing::Test {
 
   hw::TrainingNode node_;
   t::TensorFactory factory_;
-  core::SsdOffloader offloader_;
+  core::Offloader offloader_;
 };
 
 }  // namespace
@@ -230,9 +231,10 @@ TEST_F(CacheTest, StepBeginResetsRecords) {
 }
 
 TEST_F(CacheTest, OffloaderRefusalFallsBackToKeep) {
-  // CPU offloader with a tiny pinned pool refuses; cache keeps the tensor.
+  // Host tier with a tiny pinned pool refuses; cache keeps the tensor.
   node_.pinned_pool().resize(u::mib(1));
-  core::CpuOffloader cpu_offloader(node_, factory_, {});
+  core::Offloader cpu_offloader(node_, factory_,
+                                std::make_unique<core::HostTier>(node_, 0));
   core::TensorCache cache(node_.simulator(), cpu_offloader, {});
   auto x = activation("x");
   const auto packed = cache.hooks().pack(x);

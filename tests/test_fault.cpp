@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "ssdtrain/trace/chrome_trace.hpp"
 #include "ssdtrain/util/check.hpp"
 #include "ssdtrain/util/units.hpp"
+#include "test_support.hpp"
 
 namespace core = ssdtrain::core;
 namespace f = ssdtrain::fault;
@@ -36,6 +38,7 @@ namespace u = ssdtrain::util;
 
 using ssdtrain::IoError;
 using ssdtrain::IoErrorCode;
+using ssdtrain::testing::TierKind;
 
 namespace {
 
@@ -448,19 +451,43 @@ class FaultOffloaderTest : public ::testing::Test {
                          hw::MemoryTag::activation);
   }
 
+  core::Offloader ssd_offloader(core::OffloaderConfig cfg) {
+    return core::Offloader(node_, factory_,
+                           std::make_unique<core::SsdTier>(node_, 0), cfg);
+  }
+
   hw::TrainingNode node_;
   t::TensorFactory factory_;
   std::unique_ptr<f::FaultInjector> injector_;
   t::IdAssigner ids_;
 };
 
-TEST_F(FaultOffloaderTest, ExhaustedRetriesKeepCountersAndLoseData) {
-  core::SsdOffloaderConfig cfg;
+/// Ladder cases that hold on either tier: the engine runs one retry ladder
+/// for both.
+class FaultOffloaderTierTest : public FaultOffloaderTest,
+                               public ::testing::WithParamInterface<TierKind> {
+ protected:
+  core::Offloader offloader(core::OffloaderConfig cfg) {
+    return core::Offloader(node_, factory_,
+                           ssdtrain::testing::make_tier(GetParam(), node_),
+                           cfg);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Tiers, FaultOffloaderTierTest,
+    ::testing::Values(TierKind::ssd, TierKind::host),
+    [](const ::testing::TestParamInfo<TierKind>& info) {
+      return ssdtrain::testing::to_string(info.param);
+    });
+
+TEST_P(FaultOffloaderTierTest, ExhaustedRetriesKeepCountersAndLoseData) {
+  core::OffloaderConfig cfg;
   cfg.fault.injector = &make_injector({always_fail()});
   cfg.fault.max_attempts = 4;
   cfg.fault.initial_backoff = u::us(50);
   cfg.fault.backoff_multiplier = 2.0;
-  core::SsdOffloader off(node_, factory_, cfg);
+  core::Offloader off = offloader(cfg);
   settle();
 
   auto x = make_tensor("x");
@@ -479,8 +506,9 @@ TEST_F(FaultOffloaderTest, ExhaustedRetriesKeepCountersAndLoseData) {
   EXPECT_EQ(off.store_status(id).code, IoErrorCode::data_lost);
 
   // Degradation ladder, last rung: a load of the lost tensor is served by
-  // the recompute fallback (no I/O — not counted as a load), and the
-  // fallback is a structural event.
+  // the recompute fallback (no I/O — not counted as a load). The fallback
+  // only delays this load, so it is not a structural fault: a recorded
+  // program stays valid.
   auto ticket = off.load(id, "x'", {u::mib(64) / 2}, t::DType::fp16);
   node_.simulator().run();
   EXPECT_TRUE(ticket.done->done());
@@ -488,18 +516,18 @@ TEST_F(FaultOffloaderTest, ExhaustedRetriesKeepCountersAndLoseData) {
   EXPECT_EQ(off.stats().load_faults, 1u);
   EXPECT_EQ(off.stats().recompute_fallbacks, 1u);
   EXPECT_GT(off.stats().recompute_fallback_time, 0.0);
-  EXPECT_GT(injector_->structural_epoch(), 0u);
+  EXPECT_EQ(injector_->structural_epoch(), 0u);
   off.release(id);  // releasing a lost slot must not abort
   EXPECT_EQ(off.stats().releases, 1u);
 }
 
-TEST_F(FaultOffloaderTest, TransientErrorRetriesThenSucceeds) {
+TEST_P(FaultOffloaderTierTest, TransientErrorRetriesThenSucceeds) {
   f::FaultSpec errors = always_fail();
   errors.duration = 1e-4;  // window closes before the first retry lands
-  core::SsdOffloaderConfig cfg;
+  core::OffloaderConfig cfg;
   cfg.fault.injector = &make_injector({errors});
   cfg.fault.initial_backoff = u::ms(1);
-  core::SsdOffloader off(node_, factory_, cfg);
+  core::Offloader off = offloader(cfg);
 
   auto x = make_tensor("x");
   const auto id = ids_.get_id(x);
@@ -523,10 +551,10 @@ TEST_F(FaultOffloaderTest, TransientErrorRetriesThenSucceeds) {
 }
 
 TEST_F(FaultOffloaderTest, RetriesChargeWriteAmplification) {
-  core::SsdOffloaderConfig cfg;
+  core::OffloaderConfig cfg;
   cfg.fault.injector = &make_injector({always_fail()});
   cfg.fault.max_attempts = 4;
-  core::SsdOffloader off(node_, factory_, cfg);
+  core::Offloader off = ssd_offloader(cfg);
   settle();
 
   const u::Bytes before = node_.array(0).host_bytes_written();
@@ -544,9 +572,9 @@ TEST_F(FaultOffloaderTest, LatencyWindowShiftsCompletionBySpecLatency) {
   f::FaultSpec spike;
   spike.kind = f::FaultKind::ssd_latency;
   spike.latency = u::us(200);
-  core::SsdOffloaderConfig cfg;
+  core::OffloaderConfig cfg;
   cfg.fault.injector = &make_injector({spike});
-  core::SsdOffloader off(node_, factory_, cfg);
+  core::Offloader off = ssd_offloader(cfg);
   settle();
 
   auto x = make_tensor("x");
@@ -559,7 +587,8 @@ TEST_F(FaultOffloaderTest, LatencyWindowShiftsCompletionBySpecLatency) {
   // Reference: the identical store on an identical clean machine.
   hw::TrainingNode clean(hw::catalog::single_gpu_node(2));
   t::TensorFactory clean_factory(*clean.gpu(0).allocator);
-  core::SsdOffloader clean_off(clean, clean_factory, {});
+  core::Offloader clean_off(clean, clean_factory,
+                            std::make_unique<core::SsdTier>(clean, 0));
   auto y = clean_factory.cuda("x", {u::mib(64) / 2}, t::DType::fp16,
                               hw::MemoryTag::activation);
   auto clean_done = clean_off.store(ids_.get_id(y), y, nullptr);
@@ -573,11 +602,11 @@ TEST_F(FaultOffloaderTest, AttemptTimeoutRetriesUnderInjectedLatency) {
   spike.kind = f::FaultKind::ssd_latency;
   spike.latency = u::ms(2);
   spike.duration = 1e-3;  // the spike is over before the first retry
-  core::SsdOffloaderConfig cfg;
+  core::OffloaderConfig cfg;
   cfg.fault.injector = &make_injector({spike});
   cfg.fault.attempt_timeout = u::ms(1);
   cfg.fault.initial_backoff = u::ms(2);
-  core::SsdOffloader off(node_, factory_, cfg);
+  core::Offloader off = ssd_offloader(cfg);
 
   auto x = make_tensor("x");
   std::optional<sim::CompletionPtr> done;
@@ -591,11 +620,46 @@ TEST_F(FaultOffloaderTest, AttemptTimeoutRetriesUnderInjectedLatency) {
   EXPECT_EQ(off.stats().store_faults, 0u);
 }
 
-TEST_F(FaultOffloaderTest, CpuOffloaderRetriesAndFallsBackToo) {
-  core::CpuOffloaderConfig cfg;
+TEST_F(FaultOffloaderTest, HostTierIgnoresInjectedSsdLatency) {
+  // ssd-latency windows model NVMe-side stalls: a host-tier store starts
+  // its D2H flow inside the attempt, pays no injected latency and so
+  // cannot time out on it.
+  f::FaultSpec spike;
+  spike.kind = f::FaultKind::ssd_latency;
+  spike.latency = u::us(200);
+  core::OffloaderConfig cfg;
+  cfg.fault.injector = &make_injector({spike});
+  cfg.fault.attempt_timeout = u::us(100);
+  core::Offloader off(node_, factory_,
+                      std::make_unique<core::HostTier>(node_, 0), cfg);
+  settle();
+
+  auto x = make_tensor("x");
+  auto done = off.store(ids_.get_id(x), x, nullptr);
+  ASSERT_TRUE(done.has_value());
+  node_.simulator().run();
+  EXPECT_EQ(off.stats().fault_extra_latency, 0.0);
+  EXPECT_EQ(off.stats().io_failures, 0u);
+
+  // Reference: the identical store on an identical clean machine.
+  hw::TrainingNode clean(hw::catalog::single_gpu_node(2));
+  t::TensorFactory clean_factory(*clean.gpu(0).allocator);
+  core::Offloader clean_off(clean, clean_factory,
+                            std::make_unique<core::HostTier>(clean, 0));
+  auto y = clean_factory.cuda("x", {u::mib(64) / 2}, t::DType::fp16,
+                              hw::MemoryTag::activation);
+  auto clean_done = clean_off.store(ids_.get_id(y), y, nullptr);
+  ASSERT_TRUE(clean_done.has_value());
+  clean.simulator().run();
+  EXPECT_EQ((*done)->completion_time(), (*clean_done)->completion_time());
+}
+
+TEST_F(FaultOffloaderTest, HostTierRetriesAndFallsBackToo) {
+  core::OffloaderConfig cfg;
   cfg.fault.injector = &make_injector({always_fail()});
   cfg.fault.max_attempts = 2;
-  core::CpuOffloader off(node_, factory_, cfg);
+  core::Offloader off(node_, factory_,
+                      std::make_unique<core::HostTier>(node_, 0), cfg);
   settle();
 
   auto x = make_tensor("x");
@@ -812,6 +876,122 @@ TEST(FaultDeterminism, PermanentStoreFailuresMatchOnTraceAndReplay) {
                        what + " step 2");
     expect_fault_logs_equal(traced.injector()->events(),
                             replayed.injector()->events(), what);
+  }
+}
+
+TEST(FaultDeterminism, StoreFailuresWhileRecordingMatchOnReplay) {
+  // Step 0 records its program while a 70% error window, open for the
+  // first fifth of a clean step, fails some stores permanently: the cache
+  // keeps those tensors on the GPU until their release. In the replayed
+  // steps the window is over and every store lands, so each stored tensor
+  // must be freed when its store completes, as on the trace path, and not
+  // held until the release where the recording saw it die.
+  for (rt::Strategy strategy :
+       {rt::Strategy::ssdtrain, rt::Strategy::ssdtrain_cpu}) {
+    const std::string what(to_string(strategy));
+    const m::ModelConfig model = m::bert_config(8192, 2, 8);
+    const u::Seconds clean_step =
+        rt::TrainingSession(small_config(model, strategy)).run_step().step_time;
+    f::FaultSpec errors;
+    errors.kind = f::FaultKind::io_error;
+    errors.rate = 0.7;
+    errors.duration = clean_step / 5;
+    auto traced_cfg = small_config(model, strategy);
+    traced_cfg.faults.specs = {errors};
+    traced_cfg.faults.seed = 7;
+    traced_cfg.use_replay = false;
+    rt::SessionConfig replayed_cfg = traced_cfg;
+    replayed_cfg.use_replay = true;
+    rt::TrainingSession traced(std::move(traced_cfg));
+    rt::TrainingSession replayed(std::move(replayed_cfg));
+
+    const rt::StepStats recorded = replayed.run_step();
+    expect_steps_equal(traced.run_step(), recorded, what + " step 0");
+    EXPECT_GT(recorded.cache.kept_store_failed, 0u) << what;
+    for (int step = 1; step < 4; ++step) {
+      ASSERT_NE(replayed.program(), nullptr) << what;
+      const rt::StepStats replayed_step = replayed.run_step();
+      expect_steps_equal(traced.run_step(), replayed_step,
+                         what + " step " + std::to_string(step));
+      EXPECT_EQ(replayed_step.program_invalidations, 0u) << what;
+    }
+    expect_fault_logs_equal(traced.injector()->events(),
+                            replayed.injector()->events(), what);
+  }
+}
+
+TEST(FaultDeterminism, StoresRefusedWhileRecordingMatchOnReplay) {
+  // The same drop rule covers a store the host tier refused while step 0
+  // recorded (pinned pool too small): once the pool is back to its size,
+  // every replayed store lands and must free its tensor when it does.
+  const std::string what(to_string(rt::Strategy::ssdtrain_cpu));
+  auto traced_cfg =
+      small_config(m::bert_config(8192, 2, 8), rt::Strategy::ssdtrain_cpu);
+  traced_cfg.use_replay = false;
+  rt::SessionConfig replayed_cfg = traced_cfg;
+  replayed_cfg.use_replay = true;
+  rt::TrainingSession traced(std::move(traced_cfg));
+  rt::TrainingSession replayed(std::move(replayed_cfg));
+  const u::Bytes pool = traced.node().pinned_pool().pool_size();
+  traced.node().pinned_pool().resize(pool / 3);
+  replayed.node().pinned_pool().resize(pool / 3);
+
+  const rt::StepStats recorded = replayed.run_step();
+  expect_steps_equal(traced.run_step(), recorded, what + " step 0");
+  EXPECT_GT(recorded.cache.kept_offloader_refused, 0u);
+  traced.node().pinned_pool().resize(pool);
+  replayed.node().pinned_pool().resize(pool);
+  for (int step = 1; step < 4; ++step) {
+    ASSERT_NE(replayed.program(), nullptr);
+    const rt::StepStats replayed_step = replayed.run_step();
+    expect_steps_equal(traced.run_step(), replayed_step,
+                       what + " step " + std::to_string(step));
+    EXPECT_EQ(replayed_step.cache.kept_offloader_refused,
+              recorded.cache.kept_offloader_refused);  // no new refusals
+  }
+}
+
+TEST(FaultProgram, SteadyIoErrorsKeepReplaying) {
+  // Under an open-ended error rate high enough that reloads run out of
+  // retries, every backward falls back to recompute. A fallback only
+  // delays its load, so the program recorded at step 0 keeps replaying,
+  // and each replayed step equals the traced one.
+  for (const double rate : {0.7, 0.9}) {
+    for (const std::uint64_t seed : {42u, 7u}) {
+      for (rt::Strategy strategy :
+           {rt::Strategy::ssdtrain, rt::Strategy::ssdtrain_cpu}) {
+        const std::string what = std::string(to_string(strategy)) +
+                                 " rate " + std::to_string(rate) + " seed " +
+                                 std::to_string(seed);
+        f::FaultSpec errors;
+        errors.kind = f::FaultKind::io_error;
+        errors.rate = rate;
+        auto traced_cfg = small_config(m::bert_config(8192, 2, 8), strategy);
+        traced_cfg.faults.specs = {errors};
+        traced_cfg.faults.seed = seed;
+        traced_cfg.use_replay = false;
+        rt::SessionConfig replayed_cfg = traced_cfg;
+        replayed_cfg.use_replay = true;
+        rt::TrainingSession traced(std::move(traced_cfg));
+        rt::TrainingSession replayed(std::move(replayed_cfg));
+
+        expect_steps_equal(traced.run_step(), replayed.run_step(),
+                           what + " step 0");
+        std::uint64_t fallbacks = 0;
+        for (int step = 1; step < 4; ++step) {
+          ASSERT_NE(replayed.program(), nullptr) << what;
+          const rt::StepStats replayed_step = replayed.run_step();
+          expect_steps_equal(traced.run_step(), replayed_step,
+                             what + " step " + std::to_string(step));
+          EXPECT_EQ(replayed_step.program_invalidations, 0u) << what;
+          fallbacks += replayed_step.recompute_fallbacks;
+        }
+        EXPECT_GT(fallbacks, 0u) << what;
+        EXPECT_EQ(replayed.injector()->structural_epoch(), 0u) << what;
+        expect_fault_logs_equal(traced.injector()->events(),
+                                replayed.injector()->events(), what);
+      }
+    }
   }
 }
 

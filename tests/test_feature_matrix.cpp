@@ -102,7 +102,8 @@ TEST(FeatureMatrix, InteroperabilityHooksAreRemovable) {
 
   hw::TrainingNode node(hw::catalog::single_gpu_node(2));
   ssdtrain::tensor::TensorFactory factory(*node.gpu(0).allocator);
-  ssdtrain::core::SsdOffloader offloader(node, factory, {});
+  ssdtrain::core::Offloader offloader(
+      node, factory, std::make_unique<ssdtrain::core::SsdTier>(node, 0));
   ssdtrain::core::TensorCache cache(node.simulator(), offloader, {});
   cache.install_hooks(*model);
 

@@ -1,8 +1,12 @@
-// Tests for the SSD and CPU offloaders: transfer timing over the simulated
-// fabric, producer-gated stores, deferred releases, FIFO pools, the GDS vs
-// bounce-buffer paths, and the CUDA malloc hook library.
+// Tests for the offload engine over its SSD and host tiers: transfer timing
+// over the simulated fabric, producer-gated stores, DMA pinning, gated
+// loads, deferred releases, FIFO pools (each checked on both tiers), the
+// GDS vs bounce-buffer paths, the pinned pool, and the CUDA malloc hook
+// library.
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "ssdtrain/core/malloc_hook.hpp"
 #include "ssdtrain/core/offloader.hpp"
@@ -10,12 +14,15 @@
 #include "ssdtrain/tensor/tensor_id.hpp"
 #include "ssdtrain/util/check.hpp"
 #include "ssdtrain/util/units.hpp"
+#include "test_support.hpp"
 
 namespace core = ssdtrain::core;
 namespace hw = ssdtrain::hw;
 namespace t = ssdtrain::tensor;
 namespace sim = ssdtrain::sim;
 namespace u = ssdtrain::util;
+
+using ssdtrain::testing::TierKind;
 
 namespace {
 
@@ -31,18 +38,49 @@ class OffloaderTest : public ::testing::Test {
     return tensor;
   }
 
-  t::TensorId next_id() { return ids_.get_id(last_); }
+  core::Offloader ssd_offloader(core::OffloaderConfig cfg = {}) {
+    return core::Offloader(node_, factory_,
+                           std::make_unique<core::SsdTier>(node_, 0), cfg);
+  }
+
+  core::Offloader host_offloader() {
+    return core::Offloader(node_, factory_,
+                           std::make_unique<core::HostTier>(node_, 0));
+  }
 
   hw::TrainingNode node_;
   t::TensorFactory factory_;
   t::IdAssigner ids_;
-  t::Tensor last_;
 };
+
+/// Cases that hold on either tier: the engine, not the tier, provides them.
+class OffloaderTierTest : public OffloaderTest,
+                          public ::testing::WithParamInterface<TierKind> {
+ protected:
+  core::Offloader offloader(core::OffloaderConfig cfg = {}) {
+    return core::Offloader(node_, factory_,
+                           ssdtrain::testing::make_tier(GetParam(), node_),
+                           cfg);
+  }
+
+  /// Bytes the tier under test currently holds.
+  u::Bytes tier_live_bytes() {
+    return GetParam() == TierKind::ssd ? node_.array(0).live_bytes()
+                                       : node_.pinned_pool().used();
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Tiers, OffloaderTierTest,
+    ::testing::Values(TierKind::ssd, TierKind::host),
+    [](const ::testing::TestParamInfo<TierKind>& info) {
+      return ssdtrain::testing::to_string(info.param);
+    });
 
 }  // namespace
 
 TEST_F(OffloaderTest, StoreCompletesAtArrayBandwidth) {
-  core::SsdOffloader off(node_, factory_, {});
+  core::Offloader off = ssd_offloader();
   auto x = make_tensor("x", 1220);  // ~1.28 GB
   const auto id = ids_.get_id(x);
   auto done = off.store(id, x, nullptr);
@@ -55,8 +93,8 @@ TEST_F(OffloaderTest, StoreCompletesAtArrayBandwidth) {
   EXPECT_EQ(off.stats().bytes_stored, x.bytes());
 }
 
-TEST_F(OffloaderTest, StoreWaitsForProducerKernel) {
-  core::SsdOffloader off(node_, factory_, {});
+TEST_P(OffloaderTierTest, StoreWaitsForProducerKernel) {
+  core::Offloader off = offloader();
   auto& s = node_.simulator();
   auto x = make_tensor("x");
   auto ready = sim::Completion::create(s, "producer");
@@ -69,8 +107,8 @@ TEST_F(OffloaderTest, StoreWaitsForProducerKernel) {
   EXPECT_GT((*done)->completion_time(), 1.0);
 }
 
-TEST_F(OffloaderTest, StorePinsMemoryUntilTransferDone) {
-  core::SsdOffloader off(node_, factory_, {});
+TEST_P(OffloaderTierTest, StorePinsMemoryUntilTransferDone) {
+  core::Offloader off = offloader();
   auto& alloc = *node_.gpu(0).allocator;
   const auto id = [&] {
     auto x = make_tensor("x");
@@ -85,8 +123,8 @@ TEST_F(OffloaderTest, StorePinsMemoryUntilTransferDone) {
   EXPECT_EQ(alloc.live(hw::MemoryTag::activation), 0);
 }
 
-TEST_F(OffloaderTest, LoadReturnsGatedTensor) {
-  core::SsdOffloader off(node_, factory_, {});
+TEST_P(OffloaderTierTest, LoadReturnsGatedTensor) {
+  core::Offloader off = offloader();
   auto x = make_tensor("x");
   const auto id = ids_.get_id(x);
   off.store(id, x, nullptr);
@@ -102,7 +140,7 @@ TEST_F(OffloaderTest, LoadReturnsGatedTensor) {
 }
 
 TEST_F(OffloaderTest, ReleaseTrimsExtent) {
-  core::SsdOffloader off(node_, factory_, {});
+  core::Offloader off = ssd_offloader();
   auto x = make_tensor("x");
   const auto id = ids_.get_id(x);
   off.store(id, x, nullptr);
@@ -113,20 +151,21 @@ TEST_F(OffloaderTest, ReleaseTrimsExtent) {
   EXPECT_EQ(off.stats().releases, 1u);
 }
 
-TEST_F(OffloaderTest, ReleaseDuringStoreIsDeferred) {
-  core::SsdOffloader off(node_, factory_, {});
+TEST_P(OffloaderTierTest, ReleaseDuringStoreIsDeferred) {
+  core::Offloader off = offloader();
   auto x = make_tensor("x");
   const auto id = ids_.get_id(x);
   off.store(id, x, nullptr);
   off.release(id);  // store still in flight
   EXPECT_EQ(off.stats().releases, 0u);
+  EXPECT_GT(tier_live_bytes(), 0);
   node_.simulator().run();
   EXPECT_EQ(off.stats().releases, 1u);
-  EXPECT_EQ(node_.array(0).live_bytes(), 0);
+  EXPECT_EQ(tier_live_bytes(), 0);
 }
 
 TEST_F(OffloaderTest, SequentialTensorWritesKeepWafNearOne) {
-  core::SsdOffloader off(node_, factory_, {});
+  core::Offloader off = ssd_offloader();
   for (int step = 0; step < 20; ++step) {
     auto x = make_tensor("x", 512);
     const auto id = ids_.get_id(x);
@@ -137,8 +176,8 @@ TEST_F(OffloaderTest, SequentialTensorWritesKeepWafNearOne) {
   EXPECT_LT(node_.array(0).write_amplification(), 1.05);
 }
 
-TEST_F(OffloaderTest, DuplicateStoreRejected) {
-  core::SsdOffloader off(node_, factory_, {});
+TEST_P(OffloaderTierTest, DuplicateStoreRejected) {
+  core::Offloader off = offloader();
   auto x = make_tensor("x");
   const auto id = ids_.get_id(x);
   off.store(id, x, nullptr);
@@ -146,13 +185,12 @@ TEST_F(OffloaderTest, DuplicateStoreRejected) {
 }
 
 TEST_F(OffloaderTest, BouncePathSlowerThanGds) {
-  core::SsdOffloaderConfig gds_cfg, bounce_cfg;
-  bounce_cfg.use_gds = false;
   double t_gds = 0.0, t_bounce = 0.0;
   {
     hw::TrainingNode node(hw::catalog::single_gpu_node(4));
     t::TensorFactory factory(*node.gpu(0).allocator);
-    core::SsdOffloader off(node, factory, gds_cfg);
+    core::Offloader off(node, factory,
+                        std::make_unique<core::SsdTier>(node, 0));
     t::IdAssigner ids;
     auto x = factory.cuda("x", {u::gib(2) / 2}, t::DType::fp16,
                           hw::MemoryTag::activation);
@@ -163,7 +201,9 @@ TEST_F(OffloaderTest, BouncePathSlowerThanGds) {
   {
     hw::TrainingNode node(hw::catalog::single_gpu_node(4));
     t::TensorFactory factory(*node.gpu(0).allocator);
-    core::SsdOffloader off(node, factory, bounce_cfg);
+    core::Offloader off(node, factory,
+                        std::make_unique<core::SsdTier>(node, 0,
+                                                        /*use_gds=*/false));
     t::IdAssigner ids;
     auto x = factory.cuda("x", {u::gib(2) / 2}, t::DType::fp16,
                           hw::MemoryTag::activation);
@@ -172,14 +212,12 @@ TEST_F(OffloaderTest, BouncePathSlowerThanGds) {
     t_bounce = (*done)->completion_time();
   }
   EXPECT_GE(t_bounce, t_gds);
-  EXPECT_NE(core::SsdOffloader(node_, factory_, bounce_cfg).target_name(),
-            core::SsdOffloader(node_, factory_, gds_cfg).target_name());
 }
 
-TEST_F(OffloaderTest, FifoPoolSerialisesStoresPerWorker) {
-  core::SsdOffloaderConfig cfg;
+TEST_P(OffloaderTierTest, FifoPoolSerialisesStoresPerWorker) {
+  core::OffloaderConfig cfg;
   cfg.store_workers = 1;
-  core::SsdOffloader off(node_, factory_, cfg);
+  core::Offloader off = offloader(cfg);
   auto a = make_tensor("a", 512);
   auto b = make_tensor("b", 512);
   auto da = off.store(ids_.get_id(a), a, nullptr);
@@ -190,9 +228,9 @@ TEST_F(OffloaderTest, FifoPoolSerialisesStoresPerWorker) {
             2.0 * (*da)->completion_time() * 0.99);
 }
 
-TEST_F(OffloaderTest, CpuOffloaderUsesPinnedPool) {
+TEST_F(OffloaderTest, HostTierUsesPinnedPool) {
   node_.pinned_pool().resize(u::gib(2));
-  core::CpuOffloader off(node_, factory_, {});
+  core::Offloader off = host_offloader();
   auto x = make_tensor("x");
   const auto id = ids_.get_id(x);
   auto done = off.store(id, x, nullptr);
@@ -206,9 +244,9 @@ TEST_F(OffloaderTest, CpuOffloaderUsesPinnedPool) {
   EXPECT_EQ(node_.pinned_pool().used(), 0);
 }
 
-TEST_F(OffloaderTest, CpuOffloaderRefusesWhenPoolExhausted) {
+TEST_F(OffloaderTest, HostTierRefusesWhenPoolExhausted) {
   node_.pinned_pool().resize(u::mib(64));
-  core::CpuOffloader off(node_, factory_, {});
+  core::Offloader off = host_offloader();
   auto x = make_tensor("x", 256);  // larger than the pool
   const auto id = ids_.get_id(x);
   auto done = off.store(id, x, nullptr);

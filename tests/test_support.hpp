@@ -5,11 +5,14 @@
 // recording pack hook that measures exactly which saved tensors a module
 // registers (deduplicated by get_id, weights and small/CPU tensors
 // excluded) — the same accounting the paper's activation model performs.
+// Also the offloader's two tiers by name, for cases that must hold on both.
 
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "ssdtrain/core/offloader.hpp"
 #include "ssdtrain/graph/graph.hpp"
 #include "ssdtrain/hw/device_allocator.hpp"
 #include "ssdtrain/modules/execution_context.hpp"
@@ -153,5 +156,19 @@ class TestContext final : public modules::ExecutionContext {
   int micro_batch_ = 0;
   bool recompute_mode_ = false;
 };
+
+/// The offload engine's two tiers, for test cases parameterized over both.
+enum class TierKind { ssd, host };
+
+inline std::string to_string(TierKind kind) {
+  return kind == TierKind::ssd ? "ssd" : "host";
+}
+
+/// GPU 0's tier of \p kind on \p node.
+inline std::unique_ptr<core::OffloadTier> make_tier(TierKind kind,
+                                                    hw::TrainingNode& node) {
+  if (kind == TierKind::ssd) return std::make_unique<core::SsdTier>(node, 0);
+  return std::make_unique<core::HostTier>(node, 0);
+}
 
 }  // namespace ssdtrain::testing

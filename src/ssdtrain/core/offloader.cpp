@@ -265,20 +265,19 @@ LoadTicket Offloader::load(const TensorId& id, util::Label label,
 
   ++stats_.loads;
   stats_.bytes_loaded += dst.bytes();
+  ++it->second.loads_in_flight;
 
   // Hold the destination alive until the data lands.
-  load_pool_.submit(load_label(id),
-                    [this, id, where = it->second.where, done,
-                     pinned_dst = dst](FinishToken finish) mutable {
-                      load_attempt(id, std::move(where), done,
-                                   std::move(pinned_dst), finish, 1);
-                    });
+  load_pool_.submit(load_label(id), [this, id, done, pinned_dst = dst](
+                                        FinishToken finish) mutable {
+    load_attempt(id, done, std::move(pinned_dst), finish, 1);
+  });
   return LoadTicket{dst, done};
 }
 
-void Offloader::load_attempt(const TensorId& id, Placement where,
-                             sim::CompletionPtr done, Tensor pinned_dst,
-                             FinishToken finish, int attempt) {
+void Offloader::load_attempt(const TensorId& id, sim::CompletionPtr done,
+                             Tensor pinned_dst, FinishToken finish,
+                             int attempt) {
   const Attempt a = begin_attempt();
   if (a.error) {
     if (attempt >= config_.fault.max_attempts) {
@@ -286,28 +285,31 @@ void Offloader::load_attempt(const TensorId& id, Placement where,
       // bytes were charged optimistically at load() time; no data
       // actually left the tier.
       stats_.bytes_loaded -= pinned_dst.bytes();
+      end_load(slot_of(id));
       schedule_recompute(std::move(done), std::move(pinned_dst));
       finish();
       return;
     }
     retry(a, attempt,
-          [this, id, where = std::move(where), done = std::move(done),
+          [this, id, done = std::move(done),
            pinned_dst = std::move(pinned_dst), finish, attempt]() mutable {
-            load_attempt(id, std::move(where), std::move(done),
-                         std::move(pinned_dst), finish, attempt + 1);
+            load_attempt(id, std::move(done), std::move(pinned_dst), finish,
+                         attempt + 1);
           });
     return;
   }
   after_setup(
       node_.simulator(), a.setup,
-      [this, id, where = std::move(where), done = std::move(done),
-       pinned_dst = std::move(pinned_dst), finish]() mutable {
+      [this, id, done = std::move(done), pinned_dst = std::move(pinned_dst),
+       finish]() mutable {
         const util::Bytes bytes = pinned_dst.bytes();
         node_.network().start_flow(
             load_label(id), bytes, tier_->read_path(),
-            [this, where = std::move(where), done = std::move(done),
+            [this, id, done = std::move(done),
              pinned_dst = std::move(pinned_dst), finish]() mutable {
-              tier_->record_read(where);
+              auto it = slot_of(id);
+              tier_->record_read(it->second.where);
+              end_load(it);
               done->fire();
               pinned_dst.reset();
               finish();
@@ -338,11 +340,8 @@ void Offloader::schedule_recompute(sim::CompletionPtr done,
 void Offloader::release(const TensorId& id) {
   auto it = slots_.find(id);
   util::expects(it != slots_.end(), "release of unknown tensor");
-  if (it->second.store_in_flight) {
-    it->second.release_deferred = true;
-    return;
-  }
-  drop_slot(it);
+  it->second.released = true;
+  drop_if_released(it);
 }
 
 IoError Offloader::store_status(const TensorId& id) const {
@@ -355,17 +354,26 @@ IoError Offloader::store_status(const TensorId& id) const {
 
 Offloader::SlotMap::iterator Offloader::slot_of(const TensorId& id) {
   auto it = slots_.find(id);
-  util::check(it != slots_.end(), "store slot vanished");
+  util::check(it != slots_.end(), "offload slot vanished");
   return it;
 }
 
 void Offloader::end_store(SlotMap::iterator it) {
   it->second.store_in_flight = false;
-  if (it->second.release_deferred) drop_slot(it);
+  drop_if_released(it);
 }
 
-void Offloader::drop_slot(SlotMap::iterator it) {
-  if (!it->second.lost) tier_->free(it->second.where);
+void Offloader::end_load(SlotMap::iterator it) {
+  --it->second.loads_in_flight;
+  drop_if_released(it);
+}
+
+void Offloader::drop_if_released(SlotMap::iterator it) {
+  const Slot& slot = it->second;
+  if (!slot.released || slot.store_in_flight || slot.loads_in_flight > 0) {
+    return;
+  }
+  if (!slot.lost) tier_->free(slot.where);
   slots_.erase(it);
   ++stats_.releases;
 }

@@ -14,7 +14,8 @@
 /// release. A tier only places the bytes, names the transfer paths and
 /// says how long an attempt takes to start. Store jobs wait for the
 /// producing kernel's completion before touching the data; load
-/// completions become the ready events consumers wait on.
+/// completions become the ready events consumers wait on. A release waits
+/// for every transfer of its slot to leave flight before the copy goes.
 
 #include <cstdint>
 #include <map>
@@ -203,8 +204,8 @@ class Offloader {
                   tensor::TensorShape shape, tensor::DType dtype);
 
   /// Releases the offloaded copy (TRIM on SSD, pool free on host). Safe to
-  /// call while a store is still in flight — the release is deferred until
-  /// the store completes.
+  /// call while its store or loads are still in flight — the release is
+  /// deferred until the last of them lands (or falls back to recompute).
   void release(const tensor::TensorId& id);
 
   [[nodiscard]] const OffloaderStats& stats() const { return stats_; }
@@ -218,7 +219,8 @@ class Offloader {
   struct Slot {
     Placement where;
     bool store_in_flight = true;
-    bool release_deferred = false;
+    int loads_in_flight = 0;  ///< loads reading the placement
+    bool released = false;    ///< release() ran; drops once nothing flies
     bool lost = false;  ///< store permanently failed; placement freed
   };
   using SlotMap = std::map<tensor::TensorId, Slot>;
@@ -244,18 +246,21 @@ class Offloader {
                      sim::SimThreadPool::FinishToken finish, int attempt);
   /// The load ladder: attempt, retry with backoff, and once attempts run
   /// out rematerialise the tensor instead.
-  void load_attempt(const tensor::TensorId& id, Placement where,
-                    sim::CompletionPtr done, tensor::Tensor pinned_dst,
+  void load_attempt(const tensor::TensorId& id, sim::CompletionPtr done,
+                    tensor::Tensor pinned_dst,
                     sim::SimThreadPool::FinishToken finish, int attempt);
   /// Degradation ladder, last rung: fires \p done after the recompute cost
   /// of the lost bytes.
   void schedule_recompute(sim::CompletionPtr done, tensor::Tensor pinned_dst);
 
   SlotMap::iterator slot_of(const tensor::TensorId& id);
-  /// A store left flight; a release that arrived meanwhile runs now.
+  /// A store or load left flight; a release that arrived meanwhile runs
+  /// once it was the last transfer.
   void end_store(SlotMap::iterator it);
-  /// Frees the slot's placement (a lost store has none left) and forgets it.
-  void drop_slot(SlotMap::iterator it);
+  void end_load(SlotMap::iterator it);
+  /// When released and idle, frees the slot's placement (a lost store has
+  /// none left) and forgets it.
+  void drop_if_released(SlotMap::iterator it);
 
   hw::TrainingNode& node_;
   tensor::TensorFactory& factory_;

@@ -283,7 +283,7 @@ void TensorCache::retire_scope(const modules::Module& m) {
 }
 
 // ---------------------------------------------------------------------------
-// entry transitions — shared by the hooks above and Executor::replay
+// entry transitions — shared by the hooks above and step replay
 // ---------------------------------------------------------------------------
 
 void TensorCache::begin_replay(std::span<const EntryInfo> table) {

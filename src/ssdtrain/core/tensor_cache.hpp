@@ -26,8 +26,8 @@
 /// machine, addressed by index (keep, store, unpack, load, prefetch,
 /// release). The trace path decides each transition from TensorId-keyed
 /// per-micro-batch records and assigns a new entry its index at pack time;
-/// a replayed step (runtime::Executor::replay) takes the same transitions
-/// at the indices its program recorded.
+/// a replayed step (runtime::Executor::replay_segment) takes the same
+/// transitions at the indices its program recorded.
 
 #include <cstdint>
 #include <limits>
@@ -180,7 +180,7 @@ class TensorCache {
   // -- entry transitions -----------------------------------------------------
   /// The one per-entry state machine, addressed by the entry's index in
   /// entry_table(). The pack/unpack hooks call these once Alg. 1 has decided
-  /// what to do with a tensor; Executor::replay calls them with the
+  /// what to do with a tensor; step replay calls them with the
   /// decisions its program recorded. Entry states, forwarding, refusal
   /// fallback and wasted-store accounting are evaluated live either way.
   void pack_passthrough(PassKind kind);

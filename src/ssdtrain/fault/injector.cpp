@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "ssdtrain/sim/completion.hpp"
+#include "ssdtrain/trace/chrome_trace.hpp"
 #include "ssdtrain/util/check.hpp"
 #include "ssdtrain/util/label.hpp"
 
@@ -286,6 +287,34 @@ void FaultInjector::refresh_derates(FaultKind kind, int spec_gpu) {
 void FaultInjector::log(const FaultSpec& spec, bool begin) {
   events_.push_back(
       FaultEvent{sim_.now(), spec.kind, spec.gpu, begin, spec.to_text()});
+}
+
+void append_fault_events(trace::ChromeTrace& chrome,
+                         const std::vector<FaultEvent>& log,
+                         util::Seconds horizon) {
+  static const std::string kTrack = "faults";
+  // Pair each begin with the first unmatched end of the same spec text
+  // (the log is in time order, and detail round-trips the spec).
+  std::vector<char> consumed(log.size(), 0);
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const FaultEvent& ev = log[i];
+    if (!ev.begin) continue;
+    util::Seconds end = horizon;
+    for (std::size_t j = i + 1; j < log.size(); ++j) {
+      if (consumed[j] == 0 && !log[j].begin && log[j].detail == ev.detail) {
+        consumed[j] = 1;
+        end = log[j].time;
+        break;
+      }
+    }
+    const std::string name = std::string(to_string(ev.kind)) +
+                             (ev.gpu >= 0
+                                  ? " gpu" + std::to_string(ev.gpu)
+                                  : std::string()) +
+                             ": " + ev.detail;
+    chrome.add_event(
+        trace::TraceEvent{name, kTrack, ev.time, std::max(end, ev.time)});
+  }
 }
 
 }  // namespace ssdtrain::fault

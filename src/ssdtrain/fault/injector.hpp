@@ -23,10 +23,14 @@
 #include "ssdtrain/sim/simulator.hpp"
 #include "ssdtrain/util/rng.hpp"
 
+namespace ssdtrain::trace {
+class ChromeTrace;
+}  // namespace ssdtrain::trace
+
 namespace ssdtrain::fault {
 
-/// One entry of the fault log: a window edge or a structural fault. The
-/// chrome-trace exporter renders begin/end pairs as annotation slices.
+/// One entry of the fault log: a window edge or a structural fault.
+/// append_fault_events renders begin/end pairs as chrome-trace slices.
 struct FaultEvent {
   sim::TimePoint time = 0.0;
   FaultKind kind = FaultKind::io_error;
@@ -139,5 +143,13 @@ class FaultInjector {
   std::vector<FaultEvent> events_;
   std::vector<CrashRecord> crashes_;  ///< lose=state crashes, unconsumed
 };
+
+/// Renders a fault log onto a "faults" track of \p chrome: window begin/end
+/// pairs become slices spanning the window, structural events (dropouts,
+/// stage crashes) become zero-width markers at the instant they fired.
+/// \p horizon caps open-ended windows at the end of the traced range.
+void append_fault_events(trace::ChromeTrace& chrome,
+                         const std::vector<FaultEvent>& log,
+                         util::Seconds horizon);
 
 }  // namespace ssdtrain::fault

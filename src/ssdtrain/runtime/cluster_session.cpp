@@ -11,21 +11,6 @@
 
 namespace ssdtrain::runtime {
 
-/// One virtual stage: a layer slice of the model in its StageRuntime, whose
-/// schedule is this chunk's forwards/backwards in stage order closed by its
-/// own optimizer command, plus the lane driver's per-step state. Indexed by
-/// virtual stage vs = chunk * pipeline_parallel + gpu.
-struct ClusterSession::StageContext {
-  std::unique_ptr<StageRuntime> stage;
-
-  // Per-step driver state.
-  StageRuntime::Mode mode = StageRuntime::Mode::trace;
-  std::size_t cursor = 0;  ///< next stage schedule index
-  Executor::StepBaseline baseline;
-  sim::CompletionPtr pre_optimizer;
-  sim::CompletionPtr step_end;
-};
-
 /// One GPU: its expanded command stream (compute plus send/recv
 /// annotations) and the per-GPU shared pieces — the malloc-hook library its
 /// chunk offloaders share, the DP-fabric port, and the bubble bookkeeping.
@@ -41,34 +26,6 @@ struct ClusterSession::GpuLane {
   sim::CompletionPtr pipeline_end;
   util::Seconds busy_start = 0.0;
   util::Seconds busy_at_end = 0.0;
-};
-
-/// Brackets simulator stepping across every stage's active recorder: any
-/// executor advancing shared simulated time can run closures that free
-/// another stage's tensors, and those deaths must be observed in the
-/// recorders' asynchronous mode (see StepRecorder::enter_sim).
-class ClusterSession::ClusterSimGuard final : public SimGuard {
- public:
-  explicit ClusterSimGuard(ClusterSession& session) : session_(session) {}
-
-  void enter() override {
-    for (auto& ctx : session_.contexts_) {
-      if (auto* recorder = ctx.stage->executor().active_recorder()) {
-        recorder->enter_sim();
-      }
-    }
-  }
-
-  void exit() override {
-    for (auto& ctx : session_.contexts_) {
-      if (auto* recorder = ctx.stage->executor().active_recorder()) {
-        recorder->exit_sim();
-      }
-    }
-  }
-
- private:
-  ClusterSession& session_;
 };
 
 namespace {
@@ -181,7 +138,6 @@ ClusterSession::ClusterSession(ClusterConfig config)
   util::expects(node_cfg.gpu_count >= pp,
                 "node needs one GPU per pipeline stage");
   node_ = std::make_unique<hw::TrainingNode>(node_cfg);
-  guard_ = std::make_unique<ClusterSimGuard>(*this);
   if (config_.faults.enabled()) {
     injector_ = std::make_unique<fault::FaultInjector>(node_->simulator(),
                                                        config_.faults);
@@ -220,13 +176,13 @@ ClusterSession::ClusterSession(ClusterConfig config)
     lanes_.push_back(std::move(lane));
   }
 
-  contexts_.reserve(static_cast<std::size_t>(vs_count));
+  stages_.reserve(static_cast<std::size_t>(vs_count));
   for (int vs = 0; vs < vs_count; ++vs) build_stage(vs);
 
   recv_counts_.assign(static_cast<std::size_t>(vs_count), 0);
   util::Bytes cpu_budget = 0;
   for (int vs = 0; vs < vs_count; ++vs) {
-    StageRuntime& stage = *contexts_[static_cast<std::size_t>(vs)].stage;
+    StageRuntime& stage = *stages_[static_cast<std::size_t>(vs)];
     recv_counts_[static_cast<std::size_t>(vs)] =
         stage.model().forward_recv_tensors();
     util::expects(vs == 0 || recv_counts_[static_cast<std::size_t>(vs)] > 0,
@@ -246,11 +202,11 @@ ClusterSession::ClusterSession(ClusterConfig config)
         config_.parallel.zero == parallel::ZeroStage::none
             ? 1.0
             : 1.0 / config_.parallel.data_parallel;
-    for (const auto& ctx : contexts_) {
+    for (const auto& stage : stages_) {
       const util::Bytes weights =
-          ctx.stage->model().parameter_bytes(config_.parallel.tensor_parallel);
+          stage->model().parameter_bytes(config_.parallel.tensor_parallel);
       writer->add_stage(
-          ctx.stage->gpu(), ctx.stage->chunk(), weights,
+          stage->gpu(), stage->chunk(), weights,
           static_cast<util::Bytes>(6.0 * static_cast<double>(weights) *
                                    opt_shard));
     }
@@ -318,11 +274,9 @@ void ClusterSession::build_stage(int virtual_stage) {
                                        spec.schedule);
   }
 
-  StageContext ctx;
-  ctx.stage = std::make_unique<StageRuntime>(*node_, config_, injector_.get(),
-                                             std::move(spec));
-  Executor& executor = ctx.stage->executor();
-  executor.set_sim_guard(guard_.get());
+  auto stage = std::make_unique<StageRuntime>(*node_, config_,
+                                              injector_.get(), std::move(spec));
+  Executor& executor = stage->executor();
   const int dp = config_.parallel.data_parallel;
   switch (config_.parallel.zero) {
     case parallel::ZeroStage::none:
@@ -338,7 +292,7 @@ void ClusterSession::build_stage(int virtual_stage) {
       executor.set_optimizer_shards(1.0 / dp, 1.0 / dp);
       break;
   }
-  contexts_.push_back(std::move(ctx));
+  stages_.push_back(std::move(stage));
 }
 
 int ClusterSession::gpu_count() const {
@@ -349,42 +303,11 @@ int ClusterSession::virtual_stage_count() const {
   return config_.parallel.pipeline_parallel * config_.virtual_stages;
 }
 
-Executor& ClusterSession::executor(int virtual_stage) {
-  util::expects(virtual_stage >= 0 &&
-                    virtual_stage < virtual_stage_count(),
-                "virtual stage out of range");
-  return contexts_[static_cast<std::size_t>(virtual_stage)].stage->executor();
-}
-
 const StepProgram* ClusterSession::program(int virtual_stage) const {
   util::expects(virtual_stage >= 0 &&
                     virtual_stage < virtual_stage_count(),
                 "virtual stage out of range");
-  return contexts_[static_cast<std::size_t>(virtual_stage)].stage->program();
-}
-
-const std::optional<core::OffloadPlan>& ClusterSession::plan(
-    int virtual_stage) const {
-  util::expects(virtual_stage >= 0 &&
-                    virtual_stage < virtual_stage_count(),
-                "virtual stage out of range");
-  return contexts_[static_cast<std::size_t>(virtual_stage)].stage->plan();
-}
-
-void ClusterSession::dispatch_compute(StageContext& ctx, std::size_t index) {
-  StageRuntime& stage = *ctx.stage;
-  util::expects(index < stage.schedule().size(),
-                "stage compute stream overran its schedule");
-  if (ctx.mode == StageRuntime::Mode::replay) {
-    stage.executor().replay_segment(*stage.program(), index,
-                                    ctx.pre_optimizer);
-    return;
-  }
-  if (ctx.mode == StageRuntime::Mode::record) {
-    stage.executor().begin_recorded_command();
-  }
-  stage.executor().exec_command(stage.model(), stage.schedule(), index,
-                                ctx.pre_optimizer);
+  return stages_[static_cast<std::size_t>(virtual_stage)]->program();
 }
 
 void ClusterSession::launch_boundary_send(int src_virtual_stage,
@@ -530,14 +453,13 @@ void ClusterSession::dispatch_optimizer(int gpu) {
   for (const auto& gate : gates) stream.wait_for(gate);
 
   for (int c = 0; c < v; ++c) {
-    auto& ctx = contexts_[static_cast<std::size_t>(c) * pp + gpu];
-    const std::size_t index = ctx.cursor++;
-    const std::vector<sched::Command>& schedule = ctx.stage->schedule();
-    util::expects(index < schedule.size() &&
-                      schedule[index].kind ==
+    StageRuntime& stage = *stages_[static_cast<std::size_t>(c) * pp + gpu];
+    const std::size_t index = stage.next_command();
+    util::expects(index < stage.schedule().size() &&
+                      stage.schedule()[index].kind ==
                           sched::CommandKind::optimizer_step,
                   "stage stream ended before its optimizer command");
-    dispatch_compute(ctx, index);
+    stage.run_command(index);
   }
 
   // Post-optimizer fabric tail: the updated-parameter all-gather (ZeRO
@@ -565,17 +487,17 @@ void ClusterSession::dispatch_optimizer(int gpu) {
 bool ClusterSession::dispatch(int gpu, const sched::Command& command) {
   const int pp = config_.parallel.pipeline_parallel;
   const int vs = command.chunk * pp + gpu;
-  auto& ctx = contexts_[static_cast<std::size_t>(vs)];
+  StageRuntime& stage = *stages_[static_cast<std::size_t>(vs)];
   switch (command.kind) {
     case sched::CommandKind::forward:
     case sched::CommandKind::backward: {
-      const std::size_t index = ctx.cursor++;
-      const std::vector<sched::Command>& schedule = ctx.stage->schedule();
+      const std::size_t index = stage.next_command();
+      const std::vector<sched::Command>& schedule = stage.schedule();
       util::expects(index < schedule.size() &&
                         schedule[index].kind == command.kind &&
                         schedule[index].micro_batch == command.micro_batch,
                     "lane and stage schedules diverged");
-      dispatch_compute(ctx, index);
+      stage.run_command(index);
       return true;
     }
     case sched::CommandKind::send_forward:
@@ -589,7 +511,7 @@ bool ClusterSession::dispatch(int gpu, const sched::Command& command) {
       if (it == pending_forward_.end()) return false;  // lane stalls
       const int tensors = recv_counts_[static_cast<std::size_t>(vs)];
       for (int i = 0; i < tensors; ++i) {
-        ctx.stage->executor().push_stage_input(it->second);
+        stage.executor().push_stage_input(it->second);
       }
       pending_forward_.erase(it);
       return true;
@@ -601,7 +523,7 @@ bool ClusterSession::dispatch(int gpu, const sched::Command& command) {
       // stage's input count.
       const int tensors = recv_counts_[static_cast<std::size_t>(vs) + 1];
       for (int i = 0; i < tensors; ++i) {
-        ctx.stage->executor().push_stage_input(it->second);
+        stage.executor().push_stage_input(it->second);
       }
       pending_backward_.erase(it);
       return true;
@@ -625,8 +547,8 @@ ClusterStepStats ClusterSession::run_step() {
     // program is suspect (the fault may have moved any stage's pack/load
     // branches), so all are discarded and re-recorded with the same
     // chunk stagger, counted from this step.
-    for (auto& ctx : contexts_) {
-      if (ctx.stage->invalidate_after_fault()) ++invalidations;
+    for (auto& stage : stages_) {
+      if (stage->invalidate_after_fault()) ++invalidations;
     }
     record_base_ = step_index_;
   }
@@ -643,25 +565,12 @@ ClusterStepStats ClusterSession::run_step() {
     lane.busy_start = node_->gpu(s).compute_stream->busy_time();
   }
 
-  for (auto& ctx : contexts_) {
-    StageRuntime& stage = *ctx.stage;
-    ctx.cursor = 0;
-    ctx.pre_optimizer.reset();
-    ctx.step_end.reset();
+  const util::Seconds step_start = sim.now();
+  for (auto& stage : stages_) {
     // One allocator trace observer per GPU at a time: chunk c records on
     // step c, so a V-chunk GPU reaches all-replay at step V.
-    ctx.mode = stage.begin_step(step_index_ - record_base_ == stage.chunk());
-    if (ctx.mode == StageRuntime::Mode::record) {
-      stage.executor().start_recording(stage.start_recording(),
-                                       stage.schedule());
-    }
-    ctx.baseline =
-        ctx.mode == StageRuntime::Mode::replay
-            ? stage.executor().begin_replay_step(*stage.program(),
-                                                 stage.schedule())
-            : stage.executor().begin_trace_step();
+    stage->begin_step(step_index_ - record_base_ == stage->chunk());
   }
-  const util::Seconds step_start = contexts_.front().baseline.step_start;
 
   if (virtual_stage_count() == 1) {
     // Degenerate cluster: one lane, no cross-lane clock coupling. The
@@ -717,43 +626,27 @@ ClusterStepStats ClusterSession::run_step() {
 
   // Drive the shared simulator until every stage's stream drained, then
   // run out the trailing I/O (offload stores, DP gathers, writebacks).
-  for (auto& ctx : contexts_) {
-    ctx.step_end = ctx.stage->executor().record_step_end();
-  }
-  guard_->enter();
-  for (auto& ctx : contexts_) {
-    while (!ctx.step_end->done()) {
+  // Every stage marks its end first, so the drive counts as simulation
+  // time for every active recording.
+  for (auto& stage : stages_) stage->mark_step_end();
+  for (auto& stage : stages_) {
+    while (!stage->step_ended()) {
       util::check(sim.step(), "simulation stalled before cluster step end");
     }
   }
   sim.run();
-  guard_->exit();
 
   ClusterStepStats out;
   out.ideal_bubble = ideal_bubble_;
-  out.per_stage.reserve(contexts_.size());
-  for (auto& ctx : contexts_) {
-    StageRuntime& stage = *ctx.stage;
-    StepStats stats = stage.executor().collect_step(
-        ctx.baseline, ctx.pre_optimizer, ctx.step_end);
-    stage.add_offloader_deltas(stats);
-    out.per_stage.push_back({stage.gpu(), stage.chunk(), std::move(stats)});
+  out.per_stage.reserve(stages_.size());
+  for (auto& stage : stages_) {
+    out.per_stage.push_back(
+        {stage->gpu(), stage->chunk(), stage->collect_step()});
   }
-
   // Seal recordings before any teardown: the graph/slot frees below are
   // inter-step cleanup and must not be compiled into the programs.
-  for (auto& ctx : contexts_) {
-    if (ctx.mode != StageRuntime::Mode::record) continue;
-    ctx.stage->executor().finish_recording();
-    ctx.stage->seal_recording();
-  }
-  for (auto& ctx : contexts_) {
-    if (ctx.mode == StageRuntime::Mode::replay) {
-      ctx.stage->executor().end_replay_step();
-    } else {
-      ctx.stage->executor().end_trace_step();
-    }
-  }
+  for (auto& stage : stages_) stage->seal_recording();
+  for (auto& stage : stages_) stage->end_step();
 
   // Bubble: makespan to the last GPU's pipeline_end against each GPU's
   // busy time over that window.
@@ -775,7 +668,7 @@ ClusterStepStats ClusterSession::run_step() {
     out.measured_bubble = 1.0 - busy_fraction / pp;
   }
 
-  out.combined = contexts_.size() == 1
+  out.combined = stages_.size() == 1
                      ? out.per_stage.front().stats
                      : merge_cluster_stats(out.per_stage, pp);
   out.combined.program_invalidations = invalidations;

@@ -21,8 +21,11 @@
 ///     replayed step does (per stage).
 ///
 /// Each virtual stage is a StageRuntime (the composition TrainingSession
-/// also uses) wrapped in lane-driver state, and one RecoveryLedger serves
-/// the whole pipeline. With pipeline_parallel = tensor_parallel =
+/// also uses), and one RecoveryLedger serves the whole pipeline. A step
+/// runs every stage's phases: all stages begin, the lanes interleave
+/// run_command across stages, all mark their step end, the shared
+/// simulator is driven until every marker is done, then every stage
+/// collects, seals its recording and ends its step. With pipeline_parallel = tensor_parallel =
 /// data_parallel = 1 on GPU 0 of hw::catalog::cluster_node(1, N) — the case
 /// the cluster tests pin — the StepStats, checkpoint accounting and goodput
 /// are bit-identical to a TrainingSession on the same node and GPU. The two
@@ -39,7 +42,6 @@
 
 #include "ssdtrain/hw/catalog.hpp"
 #include "ssdtrain/hw/node.hpp"
-#include "ssdtrain/runtime/executor.hpp"
 #include "ssdtrain/runtime/recovery_ledger.hpp"
 #include "ssdtrain/runtime/session.hpp"
 #include "ssdtrain/runtime/stage_runtime.hpp"
@@ -115,14 +117,10 @@ class ClusterSession {
   [[nodiscard]] int gpu_count() const;
   /// pipeline_parallel * virtual_stages model slices.
   [[nodiscard]] int virtual_stage_count() const;
-  [[nodiscard]] Executor& executor(int virtual_stage);
   /// The virtual stage's recorded program: null before its recording step
   /// (stage chunk c records on step c), after a recording failure, or with
   /// use_replay = false.
   [[nodiscard]] const StepProgram* program(int virtual_stage) const;
-  /// Per-stage offload plan (engaged for offloading strategies).
-  [[nodiscard]] const std::optional<core::OffloadPlan>& plan(
-      int virtual_stage) const;
   /// Null unless config.faults has specs.
   [[nodiscard]] fault::FaultInjector* injector() { return injector_.get(); }
 
@@ -140,16 +138,15 @@ class ClusterSession {
   [[nodiscard]] ckpt::GoodputReport goodput() { return ledger_->goodput(); }
 
  private:
-  struct StageContext;  ///< one virtual stage's runtime and driver state
-  struct GpuLane;       ///< one GPU's expanded command stream
-  class ClusterSimGuard;
+  struct GpuLane;  ///< one GPU's expanded command stream
 
-  /// Builds one virtual stage's context.
+  /// Builds one virtual stage: a layer slice of the model whose schedule is
+  /// this chunk's forwards/backwards in stage order closed by its own
+  /// optimizer command.
   void build_stage(int virtual_stage);
   /// Dispatches one lane command; false when a recv's matching send has
   /// not been dispatched yet (the lane stalls, NCCL blocking-recv style).
   bool dispatch(int gpu, const sched::Command& command);
-  void dispatch_compute(StageContext& ctx, std::size_t index);
   /// Launches the boundary-activation (or gradient) flow of one
   /// micro-batch when the sender's stream reaches this point.
   void launch_boundary_send(int src_virtual_stage, int micro_batch,
@@ -165,9 +162,9 @@ class ClusterSession {
 
   ClusterConfig config_;
   std::unique_ptr<hw::TrainingNode> node_;
-  std::unique_ptr<SimGuard> guard_;
-  std::vector<StageContext> contexts_;  ///< indexed by virtual stage
-  std::vector<GpuLane> lanes_;          ///< indexed by GPU / pipeline stage
+  /// Indexed by virtual stage vs = chunk * pipeline_parallel + gpu.
+  std::vector<std::unique_ptr<StageRuntime>> stages_;
+  std::vector<GpuLane> lanes_;  ///< indexed by GPU / pipeline stage
   /// Boundary tensors each virtual stage consumes per forward micro-batch.
   std::vector<int> recv_counts_;
   util::Bytes boundary_bytes_ = 0;  ///< one {seq, mb, hidden} fp16 tensor

@@ -249,31 +249,18 @@ void Executor::bind_pending_replay(const sim::CompletionPtr& producer) {
   replay_pending_.clear();
 }
 
-void Executor::enter_sim_section() {
-  if (sim_guard_ != nullptr) {
-    sim_guard_->enter();
-  } else if (recorder_ != nullptr) {
-    recorder_->enter_sim();
-  }
-}
-
-void Executor::exit_sim_section() {
-  if (sim_guard_ != nullptr) {
-    sim_guard_->exit();
-  } else if (recorder_ != nullptr) {
-    recorder_->exit_sim();
-  }
-}
-
 void Executor::pace() {
   auto& stream = *node_.gpu(options_.gpu_index).compute_stream;
   auto& sim = node_.simulator();
-  enter_sim_section();
+  // Deaths while pacing are asynchronous for the recording. Only this
+  // executor's recorder needs the bracket: executors sharing a simulator
+  // run with unbounded launch-ahead and never step it here.
+  if (recorder_ != nullptr) recorder_->enter_sim();
   while (stream.queued() >
          static_cast<std::size_t>(options_.max_launch_ahead)) {
     if (!sim.step()) break;
   }
-  exit_sim_section();
+  if (recorder_ != nullptr) recorder_->exit_sim();
 }
 
 void Executor::run_optimizer(modules::Model& model) {
@@ -309,7 +296,7 @@ void Executor::run_optimizer(modules::Model& model) {
                                   util::ms(40));
 }
 
-Executor::StepBaseline Executor::begin_step() {
+Executor::StepBaseline Executor::snapshot_baseline() {
   auto& gpu_ctx = node_.gpu(options_.gpu_index);
   StepBaseline base;
   base.step_start = node_.simulator().now();
@@ -374,33 +361,17 @@ StepStats Executor::collect_step(const StepBaseline& base,
   return stats;
 }
 
-StepStats Executor::finish_step(const StepBaseline& base,
-                                const sim::CompletionPtr& pre_opt_marker) {
-  auto& sim = node_.simulator();
-
-  // Step time: until the compute stream (incl. optimizer) finishes.
-  auto step_end_marker = record_step_end();
-  enter_sim_section();
-  while (!step_end_marker->done()) {
-    util::check(sim.step(), "simulation stalled before step end");
-  }
-  // Drain any trailing I/O (should be negligible when overlap is perfect).
-  sim.run();
-  exit_sim_section();
-
-  return collect_step(base, pre_opt_marker, step_end_marker);
-}
-
 Executor::StepBaseline Executor::begin_trace_step() {
   node_.gpu(options_.gpu_index).allocator->reset_peaks();
   if (cache_ != nullptr) cache_->on_step_begin();
-  return begin_step();
+  return snapshot_baseline();
 }
 
 void Executor::exec_command(modules::Model& model,
                             const std::vector<sched::Command>& schedule,
                             std::size_t index,
                             sim::CompletionPtr& pre_optimizer_marker) {
+  if (recorder_ != nullptr) recorder_->begin_command();
   const sched::Command& cmd = schedule[index];
   switch (cmd.kind) {
     case sched::CommandKind::forward: {
@@ -459,81 +430,27 @@ void Executor::end_trace_step() {
   loss_by_micro_batch_.clear();
 }
 
-StepStats Executor::run_step(modules::Model& model,
-                             const std::vector<sched::Command>& schedule) {
-  const StepBaseline base = begin_trace_step();
-  sim::CompletionPtr pre_optimizer_marker;
-
-  for (std::size_t i = 0; i < schedule.size(); ++i) {
-    exec_command(model, schedule, i, pre_optimizer_marker);
-  }
-
-  StepStats stats = finish_step(base, pre_optimizer_marker);
-  // Seal the program before the post-stats teardown below: those frees
-  // belong to the inter-step gap, which replay handles with its own slot
-  // cleanup after finish_step.
-  if (recorder_ != nullptr) recorder_->finalize();
-
-  end_trace_step();
-  return stats;
-}
-
-void Executor::start_recording(StepProgram& program,
-                               const std::vector<sched::Command>& schedule) {
+void Executor::start_recording(const std::vector<sched::Command>& schedule) {
   util::expects(recorder_ == nullptr, "already recording");
-  program = StepProgram{};
-  program.schedule = schedule;
-  recorder_owned_ = std::make_unique<StepRecorder>(
-      program, *node_.gpu(options_.gpu_index).allocator, cache_);
-  recorder_ = recorder_owned_.get();
-  if (cache_ != nullptr) cache_->set_trace_recorder(recorder_);
+  recording_ = std::make_shared<StepProgram>();
+  recording_->schedule = schedule;
+  recorder_ = std::make_unique<StepRecorder>(
+      *recording_, *node_.gpu(options_.gpu_index).allocator, cache_);
+  if (cache_ != nullptr) cache_->set_trace_recorder(recorder_.get());
 }
 
-void Executor::begin_recorded_command() {
-  if (recorder_ != nullptr) recorder_->begin_command();
-}
-
-void Executor::finish_recording() {
-  if (recorder_owned_ == nullptr) return;
-  if (!recorder_owned_->finalized()) recorder_owned_->finalize();
-  snapshot_weights(recorder_owned_->program());
+std::shared_ptr<StepProgram> Executor::finish_recording() {
+  util::expects(recorder_ != nullptr, "no recording to finish");
+  recorder_->finalize();
   if (cache_ != nullptr) cache_->set_trace_recorder(nullptr);
-  recorder_ = nullptr;
-  recorder_owned_.reset();
-}
-
-StepStats Executor::record_step(modules::Model& model,
-                                const std::vector<sched::Command>& schedule,
-                                StepProgram& program) {
-  util::expects(recorder_ == nullptr, "already recording");
-  program = StepProgram{};
-  program.schedule = schedule;
-  StepRecorder recorder(program, *node_.gpu(options_.gpu_index).allocator,
-                        cache_);
-  recorder_ = &recorder;
-  if (cache_ != nullptr) cache_->set_trace_recorder(&recorder);
-  StepStats stats;
-  try {
-    stats = run_step(model, schedule);
-  } catch (...) {
-    recorder_ = nullptr;
-    if (cache_ != nullptr) cache_->set_trace_recorder(nullptr);
-    throw;
-  }
-  recorder_ = nullptr;
-  if (cache_ != nullptr) cache_->set_trace_recorder(nullptr);
-  snapshot_weights(program);
-  return stats;
-}
-
-void Executor::snapshot_weights(StepProgram& program) const {
-  program.weights.clear();
-  program.weights.reserve(weight_order_.size());
+  recorder_.reset();
+  recording_->weights.reserve(weight_order_.size());
   for (const std::string& key : weight_order_) {
     const tensor::Tensor& w = weights_.at(key);
-    program.weights.push_back(
+    recording_->weights.push_back(
         {key, w.shape(), static_cast<std::uint8_t>(w.dtype())});
   }
+  return std::move(recording_);
 }
 
 void Executor::materialize_weights(const StepProgram& program) {
@@ -615,8 +532,8 @@ void Executor::replay_ops_tensor(const StepProgram& program,
         replay_comm(program, op);
         break;
       case StepProgram::OpKind::enqueue_only:
-        // The optimizer tail's completion is never observed (finish_step
-        // gates on the step_end marker): don't mint one.
+        // The optimizer tail's completion is never observed (the step
+        // drive gates on the step_end marker): don't mint one.
         stream.enqueue_labeled_detached(program.labels[op.b], op.x);
         break;
       case StepProgram::OpKind::marker_pre_optimizer:
@@ -711,8 +628,8 @@ void Executor::replay_ops_raw(const StepProgram& program, std::size_t begin,
         replay_comm(program, op);
         break;
       case StepProgram::OpKind::enqueue_only:
-        // The optimizer tail's completion is never observed (finish_step
-        // gates on the step_end marker): don't mint one.
+        // The optimizer tail's completion is never observed (the step
+        // drive gates on the step_end marker): don't mint one.
         stream.enqueue_labeled_detached(program.labels[op.b], op.x);
         break;
       case StepProgram::OpKind::marker_pre_optimizer:
@@ -742,7 +659,7 @@ Executor::StepBaseline Executor::begin_replay_step(
                 "cache attachment changed since the program was recorded");
   node_.gpu(options_.gpu_index).allocator->reset_peaks();
   if (cache_ != nullptr) cache_->begin_replay(program.entries);
-  return begin_step();
+  return snapshot_baseline();
 }
 
 void Executor::replay_segment(const StepProgram& program,
@@ -769,24 +686,6 @@ void Executor::end_replay_step() {
   }
   replay_pending_.clear();
   stage_input_ready_.clear();
-}
-
-StepStats Executor::replay(const StepProgram& program,
-                           const std::vector<sched::Command>& schedule) {
-  const StepBaseline base = begin_replay_step(program, schedule);
-  sim::CompletionPtr pre_optimizer_marker;
-  if (program.uses_cache) {
-    replay_ops_tensor(program, 0, program.ops.size(), pre_optimizer_marker);
-  } else {
-    replay_ops_raw(program, 0, program.ops.size(), pre_optimizer_marker);
-  }
-
-  StepStats stats = finish_step(base, pre_optimizer_marker);
-  // Inter-step teardown, the replay analogue of graph/loss clearing on the
-  // trace path: surviving slots (host inputs and step-crossing handles)
-  // drop here, after the step's measurements are taken.
-  end_replay_step();
-  return stats;
 }
 
 }  // namespace ssdtrain::runtime

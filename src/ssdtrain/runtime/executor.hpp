@@ -9,20 +9,17 @@
 /// drives a schedule of forward/backward/optimizer commands while
 /// collecting StepStats.
 ///
-/// Two execution pipelines share the hardware bindings:
-///   * run_step — the trace path: walks the module tree each step.
-///   * record_step / replay — trace once into a StepProgram, then replay
-///     the flattened op array for every subsequent step (see
-///     step_program.hpp). Replay is bit-identical to the trace and
-///     allocation-free at steady state on the no-offload path.
-///
-/// Both pipelines are also exposed piecemeal (begin_trace_step /
-/// exec_command / record_step_end / collect_step, and the replay_segment
-/// mirror) so runtime::ClusterSession can interleave the commands of many
-/// per-stage executors on one shared simulator: each stage owns one
-/// Executor over its layer slice, stage boundaries exchange activations as
-/// recv completions (push_stage_input) and send flows, and the whole-step
-/// wrappers below are the exact single-executor composition of the pieces.
+/// One step runs in phases, and both sessions drive them through
+/// StageRuntime: begin_trace_step or begin_replay_step opens the step,
+/// exec_command traces one schedule command through the module tree (and
+/// records it while a recording is active), replay_segment replays the
+/// recorded op range of one command (see step_program.hpp), and
+/// record_step_end / collect_step / end_trace_step or end_replay_step close
+/// it. TrainingSession runs the phases back to back; ClusterSession
+/// interleaves the commands of many per-stage executors on one shared
+/// simulator, where stage boundaries exchange activations as recv
+/// completions (push_stage_input) and send flows. Replay is bit-identical
+/// to the trace and allocation-free at steady state on the no-offload path.
 
 #include <deque>
 #include <map>
@@ -64,19 +61,6 @@ struct ExecutorOptions {
   std::vector<sim::BandwidthNetwork::ResourceId> tp_flow_path;
 };
 
-/// Bracket around simulator stepping. When several executors (and their
-/// recorders) share one simulator, any of them advancing simulated time can
-/// run event closures that touch the others' allocators; the owner (the
-/// cluster session) installs one guard that puts *every* active recorder in
-/// its asynchronous-death mode for the duration. Without a guard the
-/// executor brackets only its own recorder.
-class SimGuard {
- public:
-  virtual ~SimGuard() = default;
-  virtual void enter() = 0;
-  virtual void exit() = 0;
-};
-
 class Executor final : public modules::ExecutionContext {
  public:
   Executor(hw::TrainingNode& node, parallel::ParallelConfig parallel,
@@ -89,29 +73,12 @@ class Executor final : public modules::ExecutionContext {
 
   [[nodiscard]] tensor::TensorFactory& factory() { return factory_; }
 
-  /// Runs one training step following \p schedule. Keep-last-module hints
-  /// are derived from the schedule (backward immediately after forward).
-  StepStats run_step(modules::Model& model,
-                     const std::vector<sched::Command>& schedule);
-
-  /// Runs one step on the trace path while compiling it into \p program.
-  /// Simulated behaviour (and the returned StepStats) is identical to
-  /// run_step; check program.replayable before replaying.
-  StepStats record_step(modules::Model& model,
-                        const std::vector<sched::Command>& schedule,
-                        StepProgram& program);
-
-  /// Replays a recorded program: walks the flattened op array and drives
-  /// streams, offloader, and cache directly — no module dispatch, no graph
-  /// nodes, no id-keyed lookups. \p schedule must equal the recorded one.
-  StepStats replay(const StepProgram& program,
-                   const std::vector<sched::Command>& schedule);
-
-  // -- step phases (the cluster session's instruction set) -------------------
-  // run_step(model, s) ≡ begin_trace_step(); for i: exec_command(model, s,
-  // i, m); finish_step ≡ record_step_end + drive + collect_step;
-  // end_trace_step(). The cluster session interleaves these per-executor
-  // pieces round-robin and drives the shared simulator itself.
+  // -- step phases ------------------------------------------------------------
+  // A step is begin_*_step; exec_command or replay_segment once per schedule
+  // command, in order; record_step_end; the caller drives the simulator
+  // until the marker is done; collect_step; end_*_step. A recording wraps a
+  // trace step: start_recording before it opens, finish_recording after
+  // collect_step and before end_trace_step (that teardown is inter-step).
 
   /// Counter snapshot taken at step begin; collect_step() turns the deltas
   /// into StepStats. Shared by the trace and replay pipelines so both
@@ -133,13 +100,14 @@ class Executor final : public modules::ExecutionContext {
                                  const std::vector<sched::Command>& schedule);
   /// Executes one compute command of \p schedule (forward / backward /
   /// optimizer_step; communication kinds are the session driver's job and
-  /// trap here). Updates \p pre_optimizer_marker on the optimizer command.
+  /// trap here), opening its segment when recording. Updates
+  /// \p pre_optimizer_marker on the optimizer command.
   void exec_command(modules::Model& model,
                     const std::vector<sched::Command>& schedule,
                     std::size_t index,
                     sim::CompletionPtr& pre_optimizer_marker);
   /// Replays the recorded op range of compute command \p command_index
-  /// (program.segments, one per begin_recorded_command bracket).
+  /// (program.segments, one per schedule command).
   void replay_segment(const StepProgram& program, std::size_t command_index,
                       sim::CompletionPtr& pre_optimizer_marker);
   /// Marks the end of this executor's step on its compute stream. The
@@ -155,19 +123,18 @@ class Executor final : public modules::ExecutionContext {
   /// Post-stats teardown of the replay value slots.
   void end_replay_step();
 
-  /// Installs a heap recorder compiling subsequent trace-path work into
-  /// \p program (the session-driven analogue of record_step's bracket).
-  void start_recording(StepProgram& program,
-                       const std::vector<sched::Command>& schedule);
-  /// Opens the next compute command's segment in the recording program.
-  void begin_recorded_command();
-  /// Seals the recording (no-op when none is active).
-  void finish_recording();
-
-  /// Copies the executor's weight table (in creation order) into
-  /// program.weights. Called when a recording is sealed, so serialized
-  /// programs carry enough to rebuild the weights in a fresh process.
-  void snapshot_weights(StepProgram& program) const;
+  /// Starts compiling trace-path work into a fresh program for \p schedule.
+  /// The executor owns that program until finish_recording hands it over.
+  void start_recording(const std::vector<sched::Command>& schedule);
+  /// Seals the recording, uninstalls the recorder and hands the program
+  /// over. The program also gets the executor's weight table in creation
+  /// order, so a serialized one can rebuild the weights in a fresh process.
+  std::shared_ptr<StepProgram> finish_recording();
+  /// The recorder compiling this executor's trace, or null outside a
+  /// recording. StageRuntime brackets it across the step-end drive.
+  [[nodiscard]] StepRecorder* active_recorder() const {
+    return recorder_.get();
+  }
 
   /// Pre-creates every weight in program.weights (a no-op for keys that
   /// already exist): a cache-hit replay in a cold process then starts from
@@ -175,14 +142,6 @@ class Executor final : public modules::ExecutionContext {
   /// warm session that recorded the program, so allocator peaks and
   /// weights_live match bit for bit.
   void materialize_weights(const StepProgram& program);
-
-  /// Multi-executor simulator bracket; nullptr restores the single-executor
-  /// behaviour (bracketing only this executor's own recorder).
-  void set_sim_guard(SimGuard* guard) { sim_guard_ = guard; }
-
-  /// The recorder currently compiling this executor's trace (null outside
-  /// a recording) — a SimGuard owner brackets every active one.
-  [[nodiscard]] StepRecorder* active_recorder() const { return recorder_; }
 
   /// Queues the ready event the next make_stage_input tensor observes —
   /// the recv flow completion of an upstream stage's send. FIFO: models
@@ -227,15 +186,11 @@ class Executor final : public modules::ExecutionContext {
   [[nodiscard]] util::Bytes weights_live() const;
 
  private:
-  StepBaseline begin_step();
-  StepStats finish_step(const StepBaseline& base,
-                        const sim::CompletionPtr& pre_optimizer_marker);
+  StepBaseline snapshot_baseline();
 
   void bind_pending_ready_events(const sim::CompletionPtr& producer);
   void bind_pending_replay(const sim::CompletionPtr& producer);
   void pace();  ///< bounded launch-ahead: advance sim while queue too deep
-  void enter_sim_section();
-  void exit_sim_section();
   void run_optimizer(modules::Model& model);
   /// Launches \p traffic bytes over \p path when the compute stream reaches
   /// this point (stream-ordered collectives); the returned completion fires
@@ -249,11 +204,14 @@ class Executor final : public modules::ExecutionContext {
   parallel::ParallelConfig parallel_;
   ExecutorOptions options_;
   tensor::TensorFactory factory_;
+  /// The program being recorded and its recorder, both null outside a
+  /// recording. Declared before every tensor-holding member: a step that
+  /// throws leaves the recorder installed, and the tensors those members
+  /// free when the executor dies must still find both alive.
+  std::shared_ptr<StepProgram> recording_;
+  std::unique_ptr<StepRecorder> recorder_;
   graph::Graph graph_;
   core::TensorCache* cache_ = nullptr;
-  StepRecorder* recorder_ = nullptr;  ///< non-null while recording
-  std::unique_ptr<StepRecorder> recorder_owned_;  ///< start_recording's
-  SimGuard* sim_guard_ = nullptr;
   std::vector<const graph::SavedTensorHooks*> hook_stack_;
   std::map<std::string, tensor::Tensor> weights_;
   std::vector<std::string> weight_order_;  ///< keys in creation order

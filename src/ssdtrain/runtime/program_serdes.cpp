@@ -1,5 +1,6 @@
 #include "ssdtrain/runtime/program_serdes.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -314,10 +315,13 @@ bool deserialize_program(std::string_view data,
     }
     if (op.kind == OpKind::kernel || op.kind == OpKind::comm) ++epoch;
   }
-  for (const std::uint32_t boundary : program.segments) {
-    if (boundary > program.ops.size()) {
-      return fail(error, "segment boundary out of range");
-    }
+  // Replay walks one segment per schedule command: the boundaries must
+  // cover the op array exactly once, in order.
+  if (program.segments.size() != program.schedule.size() + 1 ||
+      program.segments.front() != 0 ||
+      program.segments.back() != program.ops.size() ||
+      !std::is_sorted(program.segments.begin(), program.segments.end())) {
+    return fail(error, "segment table does not cover the op array");
   }
 
   out = std::move(program);

@@ -37,7 +37,7 @@ namespace ssdtrain::runtime {
 
 /// Bumped on any layout change; files written by other versions are
 /// rejected on read (and re-traced), never reinterpreted.
-inline constexpr std::uint32_t kProgramFormatVersion = 1;
+inline constexpr std::uint32_t kProgramFormatVersion = 2;
 
 /// The serialized form of \p program, fingerprinted with \p key_text (the
 /// canonical ProgramKey text of the configuration it was recorded from).

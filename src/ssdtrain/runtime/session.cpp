@@ -86,24 +86,24 @@ StepStats TrainingSession::run_step() {
     // Timing-only faults never reach this path.
     if (stage_->invalidate_after_fault()) ++invalidations;
   }
+  // The step phases back to back; the first step records the program
+  // every later step replays.
   StageRuntime& stage = *stage_;
-  StepStats stats;
-  switch (stage.begin_step(/*may_record=*/true)) {
-    case StageRuntime::Mode::replay:
-      stats = stage.executor().replay(*stage.program(), stage.schedule());
-      break;
-    case StageRuntime::Mode::record:
-      // Trace through the module tree while compiling the program; every
-      // later step replays it.
-      stats = stage.executor().record_step(stage.model(), stage.schedule(),
-                                           stage.start_recording());
-      stage.seal_recording();
-      break;
-    case StageRuntime::Mode::trace:
-      stats = stage.executor().run_step(stage.model(), stage.schedule());
-      break;
+  stage.begin_step(/*may_record=*/true);
+  for (std::size_t i = 0; i < stage.schedule().size(); ++i) {
+    stage.run_command(i);
   }
-  stage.add_offloader_deltas(stats);
+  // Step time runs until the compute stream (optimizer included) finishes;
+  // trailing I/O drains after it.
+  stage.mark_step_end();
+  auto& sim = node_->simulator();
+  while (!stage.step_ended()) {
+    util::check(sim.step(), "simulation stalled before step end");
+  }
+  sim.run();
+  StepStats stats = stage.collect_step();
+  stage.seal_recording();
+  stage.end_step();
   stats.program_invalidations = invalidations;
   ledger_->finish_step(stats, stage_gpus_);
   return stats;

@@ -9,10 +9,11 @@
 /// paper-figure benches use.
 ///
 /// The session is one StageRuntime (the whole model on one GPU of the node)
-/// plus one RecoveryLedger, driven by whole-step Executor calls. Pipelines
-/// run in ClusterSession, which keeps its own driver: it places stages on
-/// GPUs 0..pp-1 of a cluster node and sends TP all-reduces as NVLink flows,
-/// where this session models them in closed form.
+/// plus one RecoveryLedger; a step runs the stage's phases back to back.
+/// Pipelines run in ClusterSession, which interleaves the same phases across
+/// its stages: it places stages on GPUs 0..pp-1 of a cluster node and sends
+/// TP all-reduces as NVLink flows, where this session models them in
+/// closed form.
 
 #include <cstdint>
 #include <memory>

@@ -74,6 +74,15 @@ StageRuntime::StageRuntime(hw::TrainingNode& node,
   executor_->attach_cache(cache_.get());
 }
 
+StageRuntime::~StageRuntime() {
+  // A recording step that threw left its recorder installed. Seal it before
+  // any member dies: the tensors they free reach the recorder, which reads
+  // the cache, and the cache dies before the executor.
+  if (executor_->active_recorder() != nullptr) {
+    (void)executor_->finish_recording();
+  }
+}
+
 util::Bytes StageRuntime::offload_budget() const {
   return cache_ != nullptr ? cache_->config().offload_budget : 0;
 }
@@ -88,9 +97,11 @@ bool StageRuntime::cache_usable() const {
          (injector_ == nullptr || injector_->structural_epoch() == 0);
 }
 
-StageRuntime::Mode StageRuntime::begin_step(bool may_record) {
-  if (!options_.use_replay || replay_dead_) return Mode::trace;
-  if (program_ == nullptr && cache_usable()) {
+void StageRuntime::begin_step(bool may_record) {
+  next_command_ = 0;
+  pre_optimizer_.reset();
+  step_end_.reset();
+  if (program_ == nullptr && !replay_dead_ && cache_usable()) {
     std::shared_ptr<const StepProgram> cached =
         options_.program_cache->lookup(cache_key_);
     // An entry that does not match this stage's schedule or cache use is
@@ -104,28 +115,79 @@ StageRuntime::Mode StageRuntime::begin_step(bool may_record) {
       program_from_cache_ = true;
     }
   }
-  if (program_ != nullptr) return Mode::replay;
-  return may_record ? Mode::record : Mode::trace;
+  if (program_ != nullptr) {
+    mode_ = Mode::replay;
+    baseline_ = executor_->begin_replay_step(*program_, schedule_);
+    return;
+  }
+  mode_ = may_record && options_.use_replay && !replay_dead_ ? Mode::record
+                                                             : Mode::trace;
+  if (mode_ == Mode::record) executor_->start_recording(schedule_);
+  baseline_ = executor_->begin_trace_step();
 }
 
-StepProgram& StageRuntime::start_recording() {
-  recording_ = std::make_shared<StepProgram>();
-  return *recording_;
+void StageRuntime::run_command(std::size_t index) {
+  util::expects(index == next_command_ && index < schedule_.size(),
+                "stage commands must run once each, in schedule order");
+  ++next_command_;
+  if (mode_ == Mode::replay) {
+    executor_->replay_segment(*program_, index, pre_optimizer_);
+  } else {
+    executor_->exec_command(*model_, schedule_, index, pre_optimizer_);
+  }
+}
+
+void StageRuntime::mark_step_end() {
+  step_end_ = executor_->record_step_end();
+  if (StepRecorder* recorder = executor_->active_recorder()) {
+    recorder->enter_sim();
+  }
+}
+
+StepStats StageRuntime::collect_step() {
+  if (StepRecorder* recorder = executor_->active_recorder()) {
+    recorder->exit_sim();
+  }
+  StepStats stats =
+      executor_->collect_step(baseline_, pre_optimizer_, step_end_);
+  if (offloader_ == nullptr) return stats;
+  stats.offloader_totals = offloader_->stats();
+  stats.loaded_bytes = stats.offloader_totals.bytes_loaded;
+  const core::OffloaderStats& t = stats.offloader_totals;
+  stats.io_retries = t.io_retries - last_offloader_.io_retries;
+  stats.io_failures = t.io_failures - last_offloader_.io_failures;
+  stats.recompute_fallbacks =
+      t.recompute_fallbacks - last_offloader_.recompute_fallbacks;
+  stats.fault_stall_time =
+      (t.retry_backoff_time - last_offloader_.retry_backoff_time) +
+      (t.fault_extra_latency - last_offloader_.fault_extra_latency) +
+      (t.recompute_fallback_time - last_offloader_.recompute_fallback_time);
+  last_offloader_ = t;
+  return stats;
 }
 
 void StageRuntime::seal_recording() {
-  if (recording_->replayable) {
+  if (mode_ != Mode::record) return;
+  std::shared_ptr<StepProgram> recording = executor_->finish_recording();
+  if (recording->replayable) {
     // Checked again at seal time: a structural fault may have fired
     // mid-step.
-    if (cache_usable()) options_.program_cache->store(cache_key_, recording_);
-    program_ = std::move(recording_);
+    if (cache_usable()) options_.program_cache->store(cache_key_, recording);
+    program_ = std::move(recording);
   } else {
     replay_dead_ = true;
     util::log_warning("step replay disabled (gpu " + std::to_string(gpu_) +
                       ", chunk " + std::to_string(chunk_) +
-                      "): " + recording_->invalid_reason);
+                      "): " + recording->invalid_reason);
   }
-  recording_.reset();
+}
+
+void StageRuntime::end_step() {
+  if (mode_ == Mode::replay) {
+    executor_->end_replay_step();
+  } else {
+    executor_->end_trace_step();
+  }
 }
 
 bool StageRuntime::invalidate_after_fault() {
@@ -141,22 +203,6 @@ bool StageRuntime::invalidate_after_fault() {
     cache_->set_offload_budget(core::make_cache_config(*plan_).offload_budget);
   }
   return dropped;
-}
-
-void StageRuntime::add_offloader_deltas(StepStats& stats) {
-  if (offloader_ == nullptr) return;
-  stats.offloader_totals = offloader_->stats();
-  stats.loaded_bytes = stats.offloader_totals.bytes_loaded;
-  const core::OffloaderStats& t = stats.offloader_totals;
-  stats.io_retries = t.io_retries - last_offloader_.io_retries;
-  stats.io_failures = t.io_failures - last_offloader_.io_failures;
-  stats.recompute_fallbacks =
-      t.recompute_fallbacks - last_offloader_.recompute_fallbacks;
-  stats.fault_stall_time =
-      (t.retry_backoff_time - last_offloader_.retry_backoff_time) +
-      (t.fault_extra_latency - last_offloader_.fault_extra_latency) +
-      (t.recompute_fallback_time - last_offloader_.recompute_fallback_time);
-  last_offloader_ = t;
 }
 
 void reserve_pinned_pool(hw::TrainingNode& node, Strategy strategy,

@@ -4,12 +4,15 @@
 /// StageRuntime — one stage of SSDTrain's per-GPU composition (paper §III):
 /// a model (slice), its executor, and, for the offloading strategies, the
 /// offloader and tensor cache sized by the adaptive planner. It also owns
-/// the stage's program lifecycle: the command schedule its StepProgram is
-/// recorded against, the program-cache lookup and publication, and the
-/// discard after a structural fault.
+/// the stage's step protocol and program lifecycle: the command schedule
+/// its StepProgram is recorded against, the choice between tracing,
+/// recording and replaying, the program-cache lookup and publication, and
+/// the discard after a structural fault.
 ///
-/// TrainingSession drives one StageRuntime with whole-step Executor calls;
-/// ClusterSession drives one per virtual stage, command by command.
+/// Both sessions run a step only through the phases below.
+/// TrainingSession runs them back to back on its one stage; ClusterSession
+/// runs them on one stage per virtual stage, interleaving run_command
+/// across stages as its pipeline lanes dispatch.
 
 #include <cstdint>
 #include <memory>
@@ -57,12 +60,12 @@ struct StageSpec {
 
 class StageRuntime {
  public:
-  /// How the stage executes the coming step.
-  enum class Mode : std::uint8_t { trace, record, replay };
-
   /// \p options and \p injector (may be null) must outlive the stage.
   StageRuntime(hw::TrainingNode& node, const SessionOptions& options,
                fault::FaultInjector* injector, StageSpec spec);
+  ~StageRuntime();
+  StageRuntime(const StageRuntime&) = delete;
+  StageRuntime& operator=(const StageRuntime&) = delete;
 
   [[nodiscard]] int gpu() const { return gpu_; }
   [[nodiscard]] int chunk() const { return chunk_; }
@@ -85,27 +88,42 @@ class StageRuntime {
   [[nodiscard]] const StepProgram* program() const { return program_.get(); }
   [[nodiscard]] bool program_from_cache() const { return program_from_cache_; }
 
-  /// Picks this step's mode. A stage without a program first consults the
-  /// program cache; a hit materializes the cached weight set and replays
-  /// from step 0 without ever tracing. A stage still without a program
-  /// records when \p may_record, and traces otherwise.
-  Mode begin_step(bool may_record);
-  /// A fresh program for this step's recording (Mode::record only).
-  StepProgram& start_recording();
-  /// Promotes the finished recording to the active program (publishing it
-  /// to the program cache while usable), or, when it came back
-  /// non-replayable, leaves the stage on the trace path for good.
+  // -- step phases -------------------------------------------------------------
+  // begin_step; run_command(i) for every schedule index in order;
+  // mark_step_end; the session drives the simulator until step_ended();
+  // collect_step; seal_recording; end_step.
+
+  /// Opens the step and picks its mode. A stage without a program first
+  /// consults the program cache; a hit materializes the cached weight set
+  /// and replays from step 0 without ever tracing. A stage still without a
+  /// program records when \p may_record, and traces otherwise.
+  void begin_step(bool may_record);
+  /// Replays segment \p index of the program, or traces schedule command
+  /// \p index (recording it in record mode). Commands run once each, in
+  /// schedule order; next_command() is the index due.
+  void run_command(std::size_t index);
+  [[nodiscard]] std::size_t next_command() const { return next_command_; }
+  /// Marks the step end on the stage's compute stream. From here until
+  /// collect_step the session only drives the simulator, so storage deaths
+  /// in between are asynchronous for a recording (StepRecorder::enter_sim).
+  void mark_step_end();
+  [[nodiscard]] bool step_ended() const { return step_end_->done(); }
+  /// The step's measurements plus the offloader totals and this step's
+  /// retry, failure, fallback and stall deltas.
+  StepStats collect_step();
+  /// After a record step, promotes the recording to the active program
+  /// (publishing it to the program cache while usable), or, when it came
+  /// back non-replayable, leaves the stage on the trace path for good.
   void seal_recording();
+  /// Inter-step teardown, after the stats are taken and the recording is
+  /// sealed.
+  void end_step();
 
   /// Reacts to a structural fault: discards the recorded program (its
   /// pack/load branch decisions may no longer match live offloader state)
   /// and re-plans against the degraded array. True when a program was
   /// discarded.
   bool invalidate_after_fault();
-
-  /// Fills the offloader totals and this step's retry, failure, fallback
-  /// and stall deltas into \p stats.
-  void add_offloader_deltas(StepStats& stats);
 
  private:
   /// A cache is configured and no structural fault has fired yet: after
@@ -130,11 +148,17 @@ class StageRuntime {
   core::OffloaderStats last_offloader_;  ///< snapshot for per-step deltas
   std::vector<sched::Command> schedule_;
   std::shared_ptr<const StepProgram> program_;
-  /// In-flight recording; promoted to program_ when it seals replayable.
-  std::shared_ptr<StepProgram> recording_;
   ProgramKey cache_key_;
   bool program_from_cache_ = false;
   bool replay_dead_ = false;  ///< a recording came back non-replayable
+
+  /// How the stage executes the current step.
+  enum class Mode : std::uint8_t { trace, record, replay };
+  Mode mode_ = Mode::trace;
+  std::size_t next_command_ = 0;
+  Executor::StepBaseline baseline_;
+  sim::CompletionPtr pre_optimizer_;
+  sim::CompletionPtr step_end_;
 };
 
 /// Sizes the node's shared pinned pool for the host tier (a no-op for

@@ -283,8 +283,7 @@ void StepRecorder::cache_release(std::uint32_t entry) {
 }
 
 void StepRecorder::finalize() {
-  util::expects(!finalized_, "recorder finalized twice");
-  finalized_ = true;
+  util::expects(observer_installed_, "recorder finalized twice");
   allocator_.set_trace_observer(nullptr);
   observer_installed_ = false;
 
@@ -300,12 +299,8 @@ void StepRecorder::finalize() {
     invalidate("recorded step leaked cache entries");
   }
 
-  // Close the per-command segment table (only present when begin_command
-  // was driven, i.e. cluster recording) before drop insertion moves ops.
-  if (!program_.segments.empty()) {
-    program_.segments.push_back(
-        static_cast<std::uint32_t>(program_.ops.size()));
-  }
+  // Close the segment table before drop insertion moves ops.
+  program_.segments.push_back(static_cast<std::uint32_t>(program_.ops.size()));
 
   // Deferred drops for asynchronously-released storages: the slot's
   // reference must be gone before the cache/transfer waiter that freed the
@@ -345,8 +340,8 @@ void StepRecorder::finalize() {
     }
   }
   // Slots still alive here (host inputs, weights-adjacent survivors) are
-  // reset by Executor::replay after the step's stats are taken, mirroring
-  // the trace path's post-stats graph/loss teardown.
+  // reset by Executor::end_replay_step after the step's stats are taken,
+  // mirroring the trace path's post-stats graph/loss teardown.
 
   program_.slot_count = static_cast<std::uint32_t>(slots_.size());
 }

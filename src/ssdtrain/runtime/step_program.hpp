@@ -10,11 +10,12 @@
 /// array of compact ops over interned util::Label names, precomputed
 /// byte/flop/duration values, dense value-slot indices, and the tensor
 /// cache's own entry table, indexed as the cache assigned it at pack time.
-/// Executor::replay() walks that array and drives the streams, offloader,
-/// and the cache's index-addressed entry transitions (the same ones the
-/// trace path's hooks call) directly, with bit-identical results (same
-/// StepStats, same event order) and zero steady-state heap allocations on
-/// the no-offload path.
+/// The array is cut into one segment per schedule command, and
+/// Executor::replay_segment walks a command's segment and drives the
+/// streams, offloader, and the cache's index-addressed entry transitions
+/// (the same ones the trace path's hooks call) directly, with
+/// bit-identical results (same StepStats, same event order) and zero
+/// steady-state heap allocations on the no-offload path.
 ///
 /// What stays dynamic at replay — everything timing-dependent re-evaluates
 /// against the live simulation, exactly like the trace path does:
@@ -32,8 +33,8 @@
 /// so allocator peaks match byte for byte).
 ///
 /// A program is valid only for the exact (model, schedule, parallel
-/// config, strategy) it was recorded from; TrainingSession records on the
-/// first step of each session and replays every step after.
+/// config, strategy) it was recorded from; each stage records once (a
+/// TrainingSession on its first step) and replays every step after.
 
 #include <cstdint>
 #include <map>
@@ -114,11 +115,10 @@ struct StepProgram {
   std::vector<sched::Command> schedule;
   bool uses_cache = false;
 
-  /// Op-range boundaries per recorded schedule command: segment i covers
-  /// ops [segments[i], segments[i+1]). Empty for whole-step programs (the
-  /// single-GPU session replays the whole array at once); the cluster
-  /// session records one segment per command so a stage can replay exactly
-  /// the ops of the command its pipeline lane just dispatched.
+  /// Op-range boundaries, one segment per schedule command: segment i
+  /// covers ops [segments[i], segments[i+1]). A sealed program has
+  /// schedule.size() + 1 non-decreasing boundaries from 0 to ops.size(),
+  /// so a stage replays exactly the ops of the command it runs next.
   std::vector<std::uint32_t> segments;
 
   /// False when the recorded step cannot be replayed faithfully (leaked
@@ -129,7 +129,7 @@ struct StepProgram {
 };
 
 /// Observes one traced step and compiles it into a StepProgram. Installed
-/// by Executor::record_step: the executor reports context-level events
+/// by Executor::start_recording: the executor reports context-level events
 /// (allocations, kernels, markers), the tensor cache reports pack/unpack/
 /// prefetch/release decisions through the TraceRecorder interface, and the
 /// device allocator reports identified frees so every synchronous storage
@@ -149,8 +149,8 @@ class StepRecorder final : public core::TensorCache::TraceRecorder {
   void on_make_host_tensor(const tensor::Tensor& t);
   void on_stage_input(const tensor::Tensor& t);
   void on_comm(util::Label label, util::Bytes traffic, util::Seconds latency);
-  /// Marks the start of one schedule command's op range (cluster replay
-  /// dispatches per command). Sessions replaying whole steps never call it.
+  /// Marks the start of the next schedule command's op range; the
+  /// executor calls it once per traced command.
   void begin_command();
   void on_kernel(const std::string& label, util::Seconds duration,
                  util::Flops flops, bool algorithmic,
@@ -165,15 +165,11 @@ class StepRecorder final : public core::TensorCache::TraceRecorder {
   void enter_sim() { ++sim_depth_; }
   void exit_sim() { --sim_depth_; }
 
-  /// Seals the program: uninstalls the allocator observer, inserts the
-  /// deferred drop ops for asynchronously-released storages after their
-  /// last op-stream use, and validates replayability.
+  /// Seals the program: uninstalls the allocator observer, closes the
+  /// segment table, inserts the deferred drop ops for
+  /// asynchronously-released storages after their last op-stream use, and
+  /// validates replayability.
   void finalize();
-  [[nodiscard]] bool finalized() const { return finalized_; }
-
-  /// The program being compiled (the executor seals weight snapshots into
-  /// it after finalize).
-  [[nodiscard]] StepProgram& program() { return program_; }
 
   // -- core::TensorCache::TraceRecorder --------------------------------------
   void cache_pack_passthrough(core::TensorCache::PassKind kind) override;
@@ -218,9 +214,8 @@ class StepRecorder final : public core::TensorCache::TraceRecorder {
   StepProgram& program_;
   hw::DeviceAllocator& allocator_;
   const core::TensorCache* cache_;
-  bool observer_installed_ = false;
+  bool observer_installed_ = false;  ///< until finalize()
   int sim_depth_ = 0;
-  bool finalized_ = false;
 
   std::vector<SlotInfo> slots_;
   /// Storage -> newest slot holding it (last-writer-wins: a consumed

@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "ssdtrain/fault/fault.hpp"
-
 namespace ssdtrain::trace {
 
 void ChromeTrace::attach_stream(sim::Stream& stream, std::string track) {
@@ -20,33 +18,6 @@ void ChromeTrace::attach_stream(sim::Stream& stream, std::string track) {
 
 void ChromeTrace::add_event(TraceEvent event) {
   events_.push_back(std::move(event));
-}
-
-void ChromeTrace::append_fault_events(
-    const std::vector<fault::FaultEvent>& log, util::Seconds horizon) {
-  static const std::string kTrack = "faults";
-  // Pair each begin with the first unmatched end of the same spec text
-  // (the log is in time order, and detail round-trips the spec).
-  std::vector<char> consumed(log.size(), 0);
-  for (std::size_t i = 0; i < log.size(); ++i) {
-    const fault::FaultEvent& ev = log[i];
-    if (!ev.begin) continue;
-    util::Seconds end = horizon;
-    for (std::size_t j = i + 1; j < log.size(); ++j) {
-      if (consumed[j] == 0 && !log[j].begin && log[j].detail == ev.detail) {
-        consumed[j] = 1;
-        end = log[j].time;
-        break;
-      }
-    }
-    const std::string name = std::string(fault::to_string(ev.kind)) +
-                             (ev.gpu >= 0
-                                  ? " gpu" + std::to_string(ev.gpu)
-                                  : std::string()) +
-                             ": " + ev.detail;
-    events_.push_back(
-        TraceEvent{name, kTrack, ev.time, std::max(end, ev.time)});
-  }
 }
 
 std::string ChromeTrace::to_json() const {

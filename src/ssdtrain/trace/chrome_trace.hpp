@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "ssdtrain/fault/injector.hpp"
 #include "ssdtrain/sim/stream.hpp"
 #include "ssdtrain/util/units.hpp"
 
@@ -28,15 +27,9 @@ class ChromeTrace {
   /// track named \p track.
   void attach_stream(sim::Stream& stream, std::string track);
 
-  /// Adds an event directly (e.g. bandwidth flows, pool jobs).
+  /// Adds an event directly (e.g. bandwidth flows, pool jobs, the fault
+  /// log through fault::append_fault_events).
   void add_event(TraceEvent event);
-
-  /// Renders a fault log onto a "faults" track: window begin/end pairs
-  /// become slices spanning the window, structural events (dropouts, stage
-  /// crashes) become zero-width markers at the instant they fired.
-  /// \p horizon caps open-ended windows at the end of the traced range.
-  void append_fault_events(const std::vector<fault::FaultEvent>& log,
-                           util::Seconds horizon);
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const {
     return events_;

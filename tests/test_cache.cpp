@@ -256,7 +256,7 @@ TEST_F(CacheTest, StatsAccumulateBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Replay: the index-addressed entry transitions as Executor::replay drives
+// Replay: the index-addressed entry transitions as step replay drives
 // them (pack decisions resolved at record time, states/forwarding/release
 // re-evaluated live). Each test mirrors a trace-path behaviour above.
 // ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 // (2) deep pipelines (pp=4, tp=2, dp=2, ZeRO stage 2) run the whole model
 // grid under all five strategies with coherent cluster measurements;
 // (3) per-stage record/replay is bit-identical to tracing every step across
-// the pipeline schedules; (4) the measured bubble converges to the closed
-// form (pp-1)/(mb*v + pp-1) as contention vanishes.
+// the pipeline schedules, link-derate fault windows included; (4) the
+// measured bubble converges to the closed form (pp-1)/(mb*v + pp-1) as
+// contention vanishes.
 
 #include <gtest/gtest.h>
 
@@ -323,6 +324,74 @@ TEST(ClusterReplay, TraceVsReplayEquivalenceAcrossSchedules) {
       }
     }
   }
+}
+
+// Link-derate windows move flow capacities while the stages keep replaying
+// their programs: replayed steps must equal traced ones field for field,
+// and every window must change the step time, so a derate branch that
+// stopped moving its link would fail here. (Not always slower: derating
+// one GPU's DP port reorders flows on the shared PCIe links, which can
+// shorten the step.)
+TEST(ClusterFaults, LinkDeratesMoveTheStepAndReplayMatchesTracing) {
+  rt::ClusterConfig base;
+  base.model = m::gpt_config(2048, 4, 2);
+  base.parallel.pipeline_parallel = 2;
+  base.parallel.tensor_parallel = 2;
+  base.parallel.data_parallel = 2;
+  base.strategy = rt::Strategy::ssdtrain;
+  base.micro_batches = 4;
+
+  // Total step time of three lockstep steps, replayed against traced.
+  const auto run = [&base](const std::string& faults) {
+    rt::ClusterConfig config = base;
+    config.faults.specs = f::parse_faults(faults);
+    rt::ClusterConfig traced_cfg = config;
+    traced_cfg.use_replay = false;
+    rt::ClusterSession traced(std::move(traced_cfg));
+    rt::ClusterSession replayed(std::move(config));
+    u::Seconds total = 0.0;
+    for (int step = 0; step < 3; ++step) {
+      const auto a = traced.run_step();
+      const auto b = replayed.run_step();
+      const std::string at = "'" + faults + "' step " + std::to_string(step);
+      expect_equal(a.combined, b.combined, at);
+      EXPECT_EQ(a.pipeline_time, b.pipeline_time) << at;
+      EXPECT_EQ(a.p2p_bytes, b.p2p_bytes) << at;
+      EXPECT_EQ(a.dp_bytes, b.dp_bytes) << at;
+      for (std::size_t vs = 0; vs < b.per_stage.size(); ++vs) {
+        expect_equal(a.per_stage[vs].stats, b.per_stage[vs].stats,
+                     at + " stage " + std::to_string(vs));
+      }
+      total += b.combined.step_time;
+    }
+    // Derates are timing faults: every stage kept its program.
+    for (int vs = 0; vs < replayed.virtual_stage_count(); ++vs) {
+      EXPECT_NE(replayed.program(vs), nullptr) << faults;
+    }
+    return total;
+  };
+  const u::Seconds unfaulted = run("");
+  for (const char* faults :
+       {"pcie-derate:factor=0.5", "nvlink-derate:factor=0.5",
+        "nvlink-derate:gpu=1,factor=0.5", "dp-derate:factor=0.5",
+        "dp-derate:gpu=1,factor=0.5"}) {
+    EXPECT_NE(run(faults), unfaulted) << faults;
+  }
+}
+
+// A recording step that throws leaves the stage's recorder installed.
+// Destroying the session afterwards must not let the tensors its members
+// free reach a recording that is already gone (the sanitizer legs catch a
+// use after free here).
+TEST(ClusterValidation, StageWhoseRecordingStepThrowsIsDestroyedCleanly) {
+  rt::ClusterConfig config;
+  config.model = m::bert_config(14336, 6, 24);
+  config.parallel.pipeline_parallel = 2;
+  config.parallel.tensor_parallel = 2;
+  config.strategy = rt::Strategy::keep_in_gpu;
+  config.micro_batches = 4;
+  rt::ClusterSession cluster(std::move(config));
+  EXPECT_THROW(cluster.run_step(), ssdtrain::hw::OutOfDeviceMemory);
 }
 
 // More micro-batches fill the pipeline: the measured bubble must track the

@@ -408,7 +408,7 @@ TEST_F(FaultInjectorTest, FaultEventsRenderOntoChromeTrace) {
   sim.run();
 
   ssdtrain::trace::ChromeTrace trace;
-  trace.append_fault_events(injector.events(), sim.now());
+  f::append_fault_events(trace, injector.events(), sim.now());
   const std::string json = trace.to_json();
   EXPECT_NE(json.find("faults"), std::string::npos);
   EXPECT_NE(json.find("ssd-derate"), std::string::npos);

@@ -12,6 +12,8 @@
 #include "ssdtrain/sched/schedule.hpp"
 #include "ssdtrain/util/units.hpp"
 
+#include "test_support.hpp"
+
 namespace rt = ssdtrain::runtime;
 namespace m = ssdtrain::modules;
 namespace hw = ssdtrain::hw;
@@ -127,8 +129,8 @@ TEST(FeatureMatrix, InteroperabilityWithPipelineSchedules) {
   rt::TrainingSession session(std::move(config));
   const auto schedule = ssdtrain::sched::schedule_1f1b(8, 4, 1);
   EXPECT_EQ(ssdtrain::sched::peak_in_flight_micro_batches(schedule), 3);
-  session.executor().run_step(session.model(), schedule);
-  const auto stats = session.executor().run_step(session.model(), schedule);
+  ssdtrain::testing::trace_schedule_step(session, schedule);
+  const auto stats = ssdtrain::testing::trace_schedule_step(session, schedule);
   EXPECT_GT(stats.offloaded_bytes, 0);
   // All records drained: nothing leaked across the step boundary.
   EXPECT_EQ(session.cache()->tracked_entries(), 0u);

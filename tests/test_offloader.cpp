@@ -164,6 +164,22 @@ TEST_P(OffloaderTierTest, ReleaseDuringStoreIsDeferred) {
   EXPECT_EQ(tier_live_bytes(), 0);
 }
 
+TEST_P(OffloaderTierTest, ReleaseDuringLoadIsDeferred) {
+  core::Offloader off = offloader();
+  auto x = make_tensor("x");
+  const auto id = ids_.get_id(x);
+  off.store(id, x, nullptr);
+  node_.simulator().run();
+  auto ticket = off.load(id, "x.reload", x.shape(), x.dtype());
+  off.release(id);  // load still reading the copy
+  EXPECT_EQ(off.stats().releases, 0u);
+  EXPECT_GT(tier_live_bytes(), 0);
+  node_.simulator().run();
+  EXPECT_TRUE(ticket.done->done());
+  EXPECT_EQ(off.stats().releases, 1u);
+  EXPECT_EQ(tier_live_bytes(), 0);
+}
+
 TEST_F(OffloaderTest, SequentialTensorWritesKeepWafNearOne) {
   core::Offloader off = ssd_offloader();
   for (int step = 0; step < 20; ++step) {

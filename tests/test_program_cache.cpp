@@ -252,6 +252,44 @@ TEST(ProgramSerdes, RejectsMalformedBuffers) {
   EXPECT_NE(error.find("slot table"), std::string::npos) << error;
 }
 
+// Replay runs exactly one segment per schedule command, so a sealed
+// program carries schedule.size() + 1 non-decreasing boundaries from 0 to
+// ops.size(). Any other table would throw mid-step or replay ops twice.
+TEST(ProgramSerdes, RejectsSegmentTablesReplayCannotUse) {
+  const rt::SessionConfig config =
+      small_config(m::bert_config(2048, 2, 2), rt::Strategy::ssdtrain);
+  rt::ProgramKey key;
+  const std::string bytes = record_serialized(config, &key);
+  rt::StepProgram decoded;
+  std::string error;
+  ASSERT_TRUE(rt::deserialize_program(bytes, key.text, decoded, &error))
+      << error;
+  ASSERT_EQ(decoded.segments.size(), decoded.schedule.size() + 1);
+  ASSERT_GE(decoded.segments.size(), 3u);
+  ASSERT_LT(decoded.segments[1], decoded.segments[2]);
+
+  const auto expect_rejected = [&](const rt::StepProgram& program,
+                                   const std::string& what) {
+    SCOPED_TRACE(what);
+    rt::StepProgram out;
+    EXPECT_FALSE(rt::deserialize_program(
+        rt::serialize_program(program, key.text), key.text, out, &error));
+    EXPECT_NE(error.find("segment"), std::string::npos) << error;
+  };
+  rt::StepProgram short_table = decoded;
+  short_table.segments.erase(short_table.segments.begin() + 1);
+  expect_rejected(short_table, "one boundary short");
+  rt::StepProgram decreasing = decoded;
+  std::swap(decreasing.segments[1], decreasing.segments[2]);
+  expect_rejected(decreasing, "decreasing boundaries");
+  rt::StepProgram open_end = decoded;
+  open_end.segments.back() -= 1;
+  expect_rejected(open_end, "last boundary short of ops.size()");
+  rt::StepProgram late_start = decoded;
+  late_start.segments.front() = 1;
+  expect_rejected(late_start, "first boundary past 0");
+}
+
 TEST(ProgramKey, SeparatesTraceShapingConfigurations) {
   const rt::SessionConfig base =
       small_config(m::bert_config(2048, 2, 2), rt::Strategy::ssdtrain);

@@ -181,7 +181,8 @@ TEST(Replay, ProgramRejectsChangedSchedule) {
   session.run_steps(2);
   ASSERT_NE(session.program(), nullptr);
   const auto other_schedule = ssdtrain::sched::grad_accum_schedule(2);
-  EXPECT_THROW(session.executor().replay(*session.program(), other_schedule),
+  EXPECT_THROW(session.executor().begin_replay_step(*session.program(),
+                                                    other_schedule),
                ssdtrain::util::ContractViolation);
 }
 

@@ -282,7 +282,7 @@ TEST(Integration, CacheCountersAreConsistent) {
 }
 
 TEST(Integration, ReplayedStepsKeepLastModuleAndTrimExtents) {
-  // Steps 2+ run through Executor::replay (the session records step 1).
+  // Steps 2+ replay the program the session recorded on step 1.
   // The scheduler-hint behaviours must carry over to the replay pipeline:
   // the keep-last-module rule fires every replayed step, prefetch keeps
   // issuing, and every SSD extent is trimmed after its backward use.

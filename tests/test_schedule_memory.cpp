@@ -11,6 +11,8 @@
 #include "ssdtrain/sched/schedule.hpp"
 #include "ssdtrain/util/units.hpp"
 
+#include "test_support.hpp"
+
 namespace rt = ssdtrain::runtime;
 namespace m = ssdtrain::modules;
 namespace sched = ssdtrain::sched;
@@ -27,8 +29,8 @@ rt::StepStats run_schedule(const std::vector<sched::Command>& schedule,
   config.parallel.tensor_parallel = 2;
   config.strategy = strategy;
   rt::TrainingSession session(std::move(config));
-  session.executor().run_step(session.model(), schedule);
-  return session.executor().run_step(session.model(), schedule);
+  ssdtrain::testing::trace_schedule_step(session, schedule);
+  return ssdtrain::testing::trace_schedule_step(session, schedule);
 }
 
 }  // namespace

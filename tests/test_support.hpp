@@ -5,7 +5,8 @@
 // recording pack hook that measures exactly which saved tensors a module
 // registers (deduplicated by get_id, weights and small/CPU tensors
 // excluded) — the same accounting the paper's activation model performs.
-// Also the offloader's two tiers by name, for cases that must hold on both.
+// Also the offloader's two tiers by name, for cases that must hold on both,
+// and a traced step of an arbitrary schedule through a session's executor.
 
 #include <memory>
 #include <set>
@@ -16,8 +17,11 @@
 #include "ssdtrain/graph/graph.hpp"
 #include "ssdtrain/hw/device_allocator.hpp"
 #include "ssdtrain/modules/execution_context.hpp"
+#include "ssdtrain/runtime/session.hpp"
+#include "ssdtrain/sched/schedule.hpp"
 #include "ssdtrain/tensor/tensor.hpp"
 #include "ssdtrain/tensor/tensor_id.hpp"
+#include "ssdtrain/util/check.hpp"
 
 namespace ssdtrain::testing {
 
@@ -169,6 +173,31 @@ inline std::unique_ptr<core::OffloadTier> make_tier(TierKind kind,
                                                     hw::TrainingNode& node) {
   if (kind == TierKind::ssd) return std::make_unique<core::SsdTier>(node, 0);
   return std::make_unique<core::HostTier>(node, 0);
+}
+
+/// Traces one step of \p schedule through the executor phases of
+/// \p session, as the session's own trace path does, but with a schedule of
+/// the caller's choosing: one pipeline stage's command stream, say, which
+/// TrainingSession itself never runs.
+inline runtime::StepStats trace_schedule_step(
+    runtime::TrainingSession& session,
+    const std::vector<sched::Command>& schedule) {
+  runtime::Executor& executor = session.executor();
+  const runtime::Executor::StepBaseline base = executor.begin_trace_step();
+  sim::CompletionPtr pre_optimizer;
+  for (std::size_t i = 0; i < schedule.size(); ++i) {
+    executor.exec_command(session.model(), schedule, i, pre_optimizer);
+  }
+  const sim::CompletionPtr step_end = executor.record_step_end();
+  auto& sim = session.node().simulator();
+  while (!step_end->done()) {
+    util::check(sim.step(), "simulation stalled before step end");
+  }
+  sim.run();
+  runtime::StepStats stats =
+      executor.collect_step(base, pre_optimizer, step_end);
+  executor.end_trace_step();
+  return stats;
 }
 
 }  // namespace ssdtrain::testing

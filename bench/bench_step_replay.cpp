@@ -15,10 +15,12 @@
 //   ssd-small  — the small model under the SSDTrain strategy: the replay
 //                path drives the cache's dense entry array and the
 //                offloader (whose per-transfer jobs deliberately take one
-//                heap hop). Offload points are dominated by the bandwidth-
-//                network simulation itself, which replay shares with the
-//                trace path bit for bit — steps/sec parity is expected
-//                here; the win is the removed trace layer.
+//                heap hop). Replay shares the offloader, the SSD model and
+//                the bandwidth network with the trace path bit for bit, so
+//                the win is the removed trace layer: on a 4-core x86-64
+//                VM replay ran 1.3-1.8x faster here and on ssd-large over
+//                four runs (1.0x while the FTL scanned every free block to
+//                open one, a cost both paths paid).
 //   ssd-large  — Table III's H8192 L4 B16 point (full mode only).
 //
 // Per-window simulator event counts are deterministic, must be equal

@@ -146,21 +146,14 @@ std::optional<sim::CompletionPtr> Offloader::store(const TensorId& id,
     ++stats_.failed_stores;
     return std::nullopt;
   }
-  slots_.emplace(id, Slot{std::move(*where)});
+  slots_.emplace(id, Slot{std::move(*where), t});
 
   ++stats_.stores;
   stats_.bytes_stored += t.bytes();
 
-  // The job holds a strong reference to the tensor for the duration of the
-  // transfer: device memory must stay mapped while the DMA engine reads it,
-  // even if the tensor cache has already dropped its own reference.
   return store_pool_.submit(
-      store_label(id),
-      [this, id, ready, pinned_ref = t](FinishToken finish) mutable {
-        auto begin_io = [this, id, pinned_ref = std::move(pinned_ref),
-                         finish]() mutable {
-          store_attempt(id, std::move(pinned_ref), finish, 1);
-        };
+      store_label(id), [this, id, ready](FinishToken finish) {
+        auto begin_io = [this, id, finish]() { store_attempt(id, finish, 1); };
         if (ready && !ready->done()) {
           ready->add_waiter(std::move(begin_io));
         } else {
@@ -198,8 +191,8 @@ void Offloader::retry(const Attempt& failed, int attempt, sim::EventFn next) {
                                    std::move(next));
 }
 
-void Offloader::store_attempt(const TensorId& id, Tensor pinned_ref,
-                              FinishToken finish, int attempt) {
+void Offloader::store_attempt(const TensorId& id, FinishToken finish,
+                              int attempt) {
   const Attempt a = begin_attempt();
   if (a.error) {
     auto it = slot_of(id);
@@ -215,31 +208,24 @@ void Offloader::store_attempt(const TensorId& id, Tensor pinned_ref,
       it->second.lost = true;
       ++stats_.store_faults;
       end_store(it);
-      pinned_ref.reset();
       finish();
       return;
     }
-    retry(a, attempt,
-          [this, id, pinned_ref = std::move(pinned_ref), finish,
-           attempt]() mutable {
-            store_attempt(id, std::move(pinned_ref), finish, attempt + 1);
-          });
+    retry(a, attempt, [this, id, finish, attempt]() {
+      store_attempt(id, finish, attempt + 1);
+    });
     return;
   }
-  after_setup(
-      node_.simulator(), a.setup,
-      [this, id, pinned_ref = std::move(pinned_ref), finish]() mutable {
-        const util::Bytes bytes = pinned_ref.bytes();
-        node_.network().start_flow(
-            store_label(id), bytes, tier_->write_path(),
-            [this, id, pinned_ref = std::move(pinned_ref), finish]() mutable {
-              auto it = slot_of(id);
-              tier_->record_write(it->second.where);
-              end_store(it);
-              pinned_ref.reset();  // transfer done: drop the DMA pin
-              finish();
-            });
-      });
+  after_setup(node_.simulator(), a.setup, [this, id, finish]() {
+    const util::Bytes bytes = slot_of(id)->second.pin.bytes();
+    node_.network().start_flow(store_label(id), bytes, tier_->write_path(),
+                               [this, id, finish]() {
+                                 auto it = slot_of(id);
+                                 tier_->record_write(it->second.where);
+                                 end_store(it);
+                                 finish();
+                               });
+  });
 }
 
 LoadTicket Offloader::load(const TensorId& id, util::Label label,
@@ -359,6 +345,9 @@ Offloader::SlotMap::iterator Offloader::slot_of(const TensorId& id) {
 }
 
 void Offloader::end_store(SlotMap::iterator it) {
+  // The transfer landed or the ladder gave up. The DMA pin goes last, once
+  // a release that was waiting has freed the placement.
+  Tensor pin = std::move(it->second.pin);
   it->second.store_in_flight = false;
   drop_if_released(it);
 }

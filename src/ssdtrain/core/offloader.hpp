@@ -218,6 +218,13 @@ class Offloader {
  private:
   struct Slot {
     Placement where;
+    /// The DMA pin: device memory must stay mapped while the engine reads
+    /// it, even after the tensor cache has dropped its own reference. Held
+    /// from store() until the transfer lands or the ladder gives up. The
+    /// store closures capture only the id: one waiting on the producer's
+    /// ready event must not own the tensor whose storage owns that event,
+    /// or a step that throws before the event fires leaks them both.
+    tensor::Tensor pin;
     bool store_in_flight = true;
     int loads_in_flight = 0;  ///< loads reading the placement
     bool released = false;    ///< release() ran; drops once nothing flies
@@ -242,7 +249,7 @@ class Offloader {
 
   /// The store ladder: attempt, retry with backoff, and once attempts run
   /// out keep the tensor on GPU (store_status() turns data_lost).
-  void store_attempt(const tensor::TensorId& id, tensor::Tensor pinned_ref,
+  void store_attempt(const tensor::TensorId& id,
                      sim::SimThreadPool::FinishToken finish, int attempt);
   /// The load ladder: attempt, retry with backoff, and once attempts run
   /// out rematerialise the tensor instead.

@@ -1,27 +1,34 @@
 #include "ssdtrain/hw/ssd/ftl.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "ssdtrain/util/check.hpp"
 
 namespace ssdtrain::hw {
 
-Ftl::Ftl(NandGeometry geometry) : geometry_(geometry) {
-  util::expects(geometry_.physical_blocks > kGcFreeBlockThreshold + 1,
+namespace {
+
+// Checked before the tables are mapped: their sizes come from the geometry.
+NandGeometry validated(NandGeometry geometry, int gc_free_block_threshold) {
+  util::expects(geometry.physical_blocks > gc_free_block_threshold + 1,
                 "too few blocks");
-  util::expects(geometry_.pages_per_block > 0, "bad pages_per_block");
-  blocks_.resize(static_cast<std::size_t>(geometry_.physical_blocks));
-  for (auto& block : blocks_) {
-    block.page_owner.assign(
-        static_cast<std::size_t>(geometry_.pages_per_block), -1);
-  }
-  free_blocks_.resize(blocks_.size());
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    free_blocks_[i] = static_cast<int>(i);
-  }
-  map_.assign(static_cast<std::size_t>(geometry_.logical_pages()),
-              PhysicalAddress{});
+  util::expects(geometry.pages_per_block > 0, "bad pages_per_block");
+  return geometry;
+}
+
+}  // namespace
+
+Ftl::Ftl(NandGeometry geometry)
+    : geometry_(validated(geometry, kGcFreeBlockThreshold)),
+      blocks_(static_cast<std::size_t>(geometry_.physical_blocks)),
+      page_owner_(static_cast<std::size_t>(geometry_.physical_blocks) *
+                  static_cast<std::size_t>(geometry_.pages_per_block)),
+      map_(static_cast<std::size_t>(geometry_.logical_pages())),
+      free_blocks_(blocks_.size()),
+      free_by_erases_{static_cast<std::int64_t>(blocks_.size())} {
+  std::iota(free_blocks_.begin(), free_blocks_.end(), 0);
 }
 
 std::int64_t Ftl::logical_pages() const {
@@ -30,20 +37,16 @@ std::int64_t Ftl::logical_pages() const {
 
 bool Ftl::is_mapped(Lpa lpa) const {
   util::expects(lpa >= 0 && lpa < logical_pages(), "LPA out of range");
-  return map_[static_cast<std::size_t>(lpa)].block >= 0;
+  return map_[static_cast<std::size_t>(lpa)] != 0;
 }
 
 void Ftl::write_page(Lpa lpa) {
   util::expects(lpa >= 0 && lpa < logical_pages(), "LPA out of range");
-  auto& slot = map_[static_cast<std::size_t>(lpa)];
-  if (slot.block >= 0) {
-    // Overwrite: invalidate the previous physical copy.
-    auto& old_block = blocks_[static_cast<std::size_t>(slot.block)];
-    old_block.page_owner[static_cast<std::size_t>(slot.page)] = -1;
-    --old_block.valid_count;
-  }
+  Slot& mapped = map_[static_cast<std::size_t>(lpa)];
+  // Overwrite: invalidate the previous physical copy.
+  if (mapped != 0) invalidate(mapped);
   ++host_pages_written_;
-  slot = append_page(lpa);
+  mapped = append_page(lpa) + 1;
 }
 
 void Ftl::write_extent(Lpa first, std::int64_t count) {
@@ -53,12 +56,10 @@ void Ftl::write_extent(Lpa first, std::int64_t count) {
 
 void Ftl::trim_page(Lpa lpa) {
   util::expects(lpa >= 0 && lpa < logical_pages(), "LPA out of range");
-  auto& slot = map_[static_cast<std::size_t>(lpa)];
-  if (slot.block < 0) return;  // already unmapped
-  auto& block = blocks_[static_cast<std::size_t>(slot.block)];
-  block.page_owner[static_cast<std::size_t>(slot.page)] = -1;
-  --block.valid_count;
-  slot = PhysicalAddress{};
+  Slot& mapped = map_[static_cast<std::size_t>(lpa)];
+  if (mapped == 0) return;  // already unmapped
+  invalidate(mapped);
+  mapped = 0;
 }
 
 void Ftl::trim_extent(Lpa first, std::int64_t count) {
@@ -66,7 +67,14 @@ void Ftl::trim_extent(Lpa first, std::int64_t count) {
   for (std::int64_t i = 0; i < count; ++i) trim_page(first + i);
 }
 
-Ftl::PhysicalAddress Ftl::append_page(Lpa lpa) {
+void Ftl::invalidate(Slot mapped) {
+  const Slot slot = mapped - 1;
+  page_owner_[static_cast<std::size_t>(slot)] = 0;
+  --blocks_[static_cast<std::size_t>(slot / geometry_.pages_per_block)]
+        .valid_count;
+}
+
+Ftl::Slot Ftl::append_page(Lpa lpa) {
   if (open_block_ < 0 ||
       blocks_[static_cast<std::size_t>(open_block_)].write_pointer >=
           geometry_.pages_per_block) {
@@ -80,15 +88,10 @@ Ftl::PhysicalAddress Ftl::append_page(Lpa lpa) {
     fresh.state = BlockState::open;
     fresh.write_pointer = 0;
   }
-  auto& block = blocks_[static_cast<std::size_t>(open_block_)];
-  const int page = block.write_pointer++;
-  block.page_owner[static_cast<std::size_t>(page)] = lpa;
-  ++block.valid_count;
-  ++media_pages_written_;
-  return PhysicalAddress{open_block_, page};
+  return program_page(open_block_, lpa);
 }
 
-Ftl::PhysicalAddress Ftl::gc_append_page(Lpa lpa) {
+Ftl::Slot Ftl::gc_append_page(Lpa lpa) {
   if (gc_block_ < 0 ||
       blocks_[static_cast<std::size_t>(gc_block_)].write_pointer >=
           geometry_.pages_per_block) {
@@ -102,12 +105,17 @@ Ftl::PhysicalAddress Ftl::gc_append_page(Lpa lpa) {
     fresh.state = BlockState::open;
     fresh.write_pointer = 0;
   }
-  auto& block = blocks_[static_cast<std::size_t>(gc_block_)];
-  const int page = block.write_pointer++;
-  block.page_owner[static_cast<std::size_t>(page)] = lpa;
+  return program_page(gc_block_, lpa);
+}
+
+Ftl::Slot Ftl::program_page(int block_index, Lpa lpa) {
+  auto& block = blocks_[static_cast<std::size_t>(block_index)];
+  const Slot slot = Slot{block_index} * geometry_.pages_per_block +
+                    block.write_pointer++;
+  page_owner_[static_cast<std::size_t>(slot)] = lpa + 1;
   ++block.valid_count;
   ++media_pages_written_;
-  return PhysicalAddress{gc_block_, page};
+  return slot;
 }
 
 void Ftl::ensure_free_block() {
@@ -123,13 +131,14 @@ void Ftl::ensure_free_block() {
     // from: each relocated page is a media write with no host write.
     std::vector<Lpa> survivors;
     survivors.reserve(static_cast<std::size_t>(vb.valid_count));
+    const Slot first = Slot{victim} * geometry_.pages_per_block;
     for (int p = 0; p < geometry_.pages_per_block; ++p) {
-      const Lpa owner = vb.page_owner[static_cast<std::size_t>(p)];
-      if (owner >= 0) survivors.push_back(owner);
+      const Lpa owner = page_owner_[static_cast<std::size_t>(first + p)];
+      if (owner != 0) survivors.push_back(owner - 1);
     }
     erase_block(victim);
     for (Lpa lpa : survivors) {
-      map_[static_cast<std::size_t>(lpa)] = gc_append_page(lpa);
+      map_[static_cast<std::size_t>(lpa)] = gc_append_page(lpa) + 1;
     }
   }
 }
@@ -158,7 +167,9 @@ void Ftl::erase_block(int block_index) {
   auto& block = blocks_[static_cast<std::size_t>(block_index)];
   ++block.erase_count;
   ++blocks_erased_;
-  std::fill(block.page_owner.begin(), block.page_owner.end(), -1);
+  const auto first = static_cast<std::ptrdiff_t>(block_index) *
+                     geometry_.pages_per_block;
+  std::fill_n(page_owner_.begin() + first, geometry_.pages_per_block, 0);
   block.valid_count = 0;
   block.write_pointer = 0;
   if (block.erase_count >= geometry_.pe_cycle_limit) {
@@ -168,19 +179,30 @@ void Ftl::erase_block(int block_index) {
   }
   block.state = BlockState::free;
   free_blocks_.push_back(block_index);
+  const auto erases = static_cast<std::size_t>(block.erase_count);
+  if (erases >= free_by_erases_.size()) free_by_erases_.resize(erases + 1);
+  ++free_by_erases_[erases];
+  min_free_erases_ = std::min(min_free_erases_, erases);
 }
 
 int Ftl::take_free_block() {
   util::check(!free_blocks_.empty(), "no free block");
-  // Wear levelling: open the least-worn free block.
-  auto it = std::min_element(
-      free_blocks_.begin(), free_blocks_.end(), [this](int a, int b) {
-        return blocks_[static_cast<std::size_t>(a)].erase_count <
-               blocks_[static_cast<std::size_t>(b)].erase_count;
+  // Wear levelling: open the least-worn free block. The first one in the
+  // list is the block a min_element scan over erase counts would pick.
+  const int least = static_cast<int>(min_free_erases_);
+  auto it = std::find_if(
+      free_blocks_.begin(), free_blocks_.end(), [this, least](int b) {
+        return blocks_[static_cast<std::size_t>(b)].erase_count == least;
       });
+  util::check(it != free_blocks_.end(), "free-block counts out of step");
   const int chosen = *it;
   *it = free_blocks_.back();
   free_blocks_.pop_back();
+  --free_by_erases_[min_free_erases_];
+  while (min_free_erases_ < free_by_erases_.size() &&
+         free_by_erases_[min_free_erases_] == 0) {
+    ++min_free_erases_;
+  }
   return chosen;
 }
 
@@ -190,12 +212,6 @@ double Ftl::write_amplification() const {
          static_cast<double>(host_pages_written_);
 }
 
-double Ftl::mean_erase_count() const {
-  double sum = 0.0;
-  for (const auto& block : blocks_) sum += block.erase_count;
-  return sum / static_cast<double>(blocks_.size());
-}
-
 int Ftl::max_erase_count() const {
   int best = 0;
   for (const auto& block : blocks_) best = std::max(best, block.erase_count);
@@ -203,7 +219,7 @@ int Ftl::max_erase_count() const {
 }
 
 int Ftl::min_erase_count() const {
-  int best = blocks_.empty() ? 0 : blocks_.front().erase_count;
+  int best = blocks_[0].erase_count;
   for (const auto& block : blocks_) best = std::min(best, block.erase_count);
   return best;
 }

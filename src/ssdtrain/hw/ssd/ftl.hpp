@@ -9,12 +9,19 @@
 /// streams and freed wholesale (WAF ≈ 1); this simulator lets tests verify
 /// that claim instead of assuming it, and lets us demonstrate the contrast
 /// with the JESD-style random preconditioned workload (WAF ≫ 1).
+///
+/// A drive costs host time and memory in proportion to the pages written to
+/// it: the block table, the page owners and the logical map live on
+/// anonymous zero pages whose all-zero value means "free, never erased",
+/// "invalid page" and "unmapped", and opening a block finds the least-worn
+/// free block without scanning the whole free list.
 
 #include <cstdint>
 #include <vector>
 
 #include "ssdtrain/hw/ssd/nand.hpp"
 #include "ssdtrain/util/units.hpp"
+#include "ssdtrain/util/zero_pages.hpp"
 
 namespace ssdtrain::hw {
 
@@ -55,7 +62,6 @@ class Ftl {
   [[nodiscard]] std::int64_t blocks_erased() const { return blocks_erased_; }
   [[nodiscard]] std::int64_t retired_blocks() const { return retired_blocks_; }
 
-  [[nodiscard]] double mean_erase_count() const;
   [[nodiscard]] int max_erase_count() const;
   [[nodiscard]] int min_erase_count() const;
 
@@ -65,29 +71,34 @@ class Ftl {
   [[nodiscard]] const NandGeometry& geometry() const { return geometry_; }
 
  private:
+  /// `free` is zero, so an untouched block table entry is a free block.
   enum class BlockState : std::uint8_t { free, open, closed, retired };
 
+  /// All-zero: a free block that was never erased.
   struct BlockInfo {
     BlockState state = BlockState::free;
     int erase_count = 0;
     int write_pointer = 0;  ///< next page slot in an open block
     int valid_count = 0;
-    std::vector<Lpa> page_owner;  ///< lpa per page slot, -1 if invalid
   };
 
-  struct PhysicalAddress {
-    int block = -1;
-    int page = -1;
-  };
+  /// A physical page slot is block * pages_per_block + page.
+  using Slot = std::int64_t;
 
   /// Appends one page to the host open block (opening a fresh one as
-  /// needed) and returns where it landed. Media-write accounting happens
-  /// here.
-  PhysicalAddress append_page(Lpa lpa);
+  /// needed) and returns the slot it landed in. Media-write accounting
+  /// happens here.
+  Slot append_page(Lpa lpa);
 
   /// Appends a GC-relocated page. GC uses a dedicated open block so
   /// relocation never re-enters GC through the host append path.
-  PhysicalAddress gc_append_page(Lpa lpa);
+  Slot gc_append_page(Lpa lpa);
+
+  /// Programs the next page of open block \p block_index.
+  Slot program_page(int block_index, Lpa lpa);
+
+  /// Invalidates the physical copy that logical map entry \p mapped names.
+  void invalidate(Slot mapped);
 
   /// Ensures a free block is available, running GC as required.
   void ensure_free_block();
@@ -97,12 +108,21 @@ class Ftl {
   int pick_victim() const;
 
   void erase_block(int block_index);
-  int take_free_block();  ///< lowest-erase-count free block (wear levelling)
+  /// The first free block with the lowest erase count (wear levelling),
+  /// swap-removed from the free list.
+  int take_free_block();
 
   NandGeometry geometry_;
-  std::vector<BlockInfo> blocks_;
-  std::vector<PhysicalAddress> map_;  ///< lpa -> physical, block == -1 if unmapped
+  util::ZeroPages<BlockInfo> blocks_;
+  /// lpa + 1 per physical page slot; 0 if the slot holds no valid page.
+  util::ZeroPages<Lpa> page_owner_;
+  /// slot + 1 per logical page; 0 if unmapped.
+  util::ZeroPages<Slot> map_;
   std::vector<int> free_blocks_;
+  /// Free blocks per erase count, and the lowest count that has one
+  /// (free_by_erases_.size() when none is free).
+  std::vector<std::int64_t> free_by_erases_;
+  std::size_t min_free_erases_ = 0;
   int open_block_ = -1;
   int gc_block_ = -1;
   std::int64_t host_pages_written_ = 0;

@@ -133,12 +133,6 @@ void Raid0Array::release_extent(const ArrayExtent& extent) {
   }
 }
 
-util::Bytes Raid0Array::capacity() const {
-  util::Bytes total = 0;
-  for (const auto& m : members_) total += m->logical_capacity();
-  return total;
-}
-
 util::Bytes Raid0Array::live_bytes() const {
   util::Bytes total = 0;
   for (const auto& m : members_) total += m->live_bytes();
@@ -148,12 +142,6 @@ util::Bytes Raid0Array::live_bytes() const {
 util::Bytes Raid0Array::host_bytes_written() const {
   util::Bytes total = 0;
   for (const auto& m : members_) total += m->host_bytes_written();
-  return total;
-}
-
-util::Bytes Raid0Array::host_bytes_read() const {
-  util::Bytes total = 0;
-  for (const auto& m : members_) total += m->host_bytes_read();
   return total;
 }
 

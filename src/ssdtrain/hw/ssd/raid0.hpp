@@ -70,10 +70,8 @@ class Raid0Array {
   /// the network capacity directly would be overwritten).
   void set_bandwidth_derate(double factor);
 
-  [[nodiscard]] util::Bytes capacity() const;
   [[nodiscard]] util::Bytes live_bytes() const;
   [[nodiscard]] util::Bytes host_bytes_written() const;
-  [[nodiscard]] util::Bytes host_bytes_read() const;
   /// Host-write-weighted mean WAF across members.
   [[nodiscard]] double write_amplification() const;
   /// Worst member's consumed endurance fraction (the array fails first

@@ -16,6 +16,9 @@ Stream::Stream(Simulator& sim, std::string name)
 
 CompletionPtr Stream::combine_deps(std::vector<CompletionPtr> deps) {
   deps.insert(deps.end(), pending_waits_.begin(), pending_waits_.end());
+  // The task taking the waits starts after they fire, and every later task
+  // starts after it (stream order), so the waits need not be kept.
+  pending_waits_.clear();
   if (deps.empty()) return nullptr;
   std::size_t unfired = 0;
   const CompletionPtr* last_unfired = nullptr;

@@ -141,7 +141,8 @@ class Stream {
     CompletionPtr done;
   };
 
-  /// Folds pending_waits_ into \p deps and reduces to a single completion:
+  /// Folds pending_waits_ into \p deps, clearing them (the task that takes
+  /// them orders every later task), and reduces to a single completion:
   /// nullptr when everything has already fired, the dep itself when one is
   /// unfired, a when_all combiner otherwise.
   CompletionPtr combine_deps(std::vector<CompletionPtr> deps);

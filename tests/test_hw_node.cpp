@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <optional>
+#include <string>
+
 #include "ssdtrain/hw/catalog.hpp"
 #include "ssdtrain/hw/gpu.hpp"
 #include "ssdtrain/hw/node.hpp"
@@ -12,6 +16,25 @@
 
 namespace hw = ssdtrain::hw;
 namespace u = ssdtrain::util;
+
+namespace {
+
+/// Resident set of this process in KiB, from /proc/self/status.
+std::optional<long> resident_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmRSS:") {
+      long kib = 0;
+      if (status >> kib) return kib;
+      return std::nullopt;
+    }
+    status.ignore(1 << 12, '\n');
+  }
+  return std::nullopt;
+}
+
+}  // namespace
 
 TEST(Gpu, EfficiencySaturatesWithKernelSize) {
   hw::Gpu gpu(hw::catalog::a100_pcie_40gb());
@@ -83,6 +106,18 @@ TEST(Node, Table2MachineMatchesPaperSpec) {
   EXPECT_EQ(node.gpu(0).allocator->capacity(), u::gib(40));
   // The measured GPU (per the paper, the one with 4 SSDs).
   EXPECT_EQ(hw::catalog::table2_measured_gpu, 1);
+}
+
+// The FTL tables of the seven 1.6 TB drives span about 200 MiB, all of it
+// zero until a page is written: building the machine must leave them
+// untouched, so a session costs memory only for the pages it writes.
+TEST(Node, BuildingTable2NodeTouchesNoFtlTables) {
+  const std::optional<long> before = resident_kib();
+  if (!before) GTEST_SKIP() << "VmRSS is not readable here";
+  hw::TrainingNode node(hw::catalog::table2_evaluation_node());
+  const std::optional<long> after = resident_kib();
+  ASSERT_TRUE(after.has_value());
+  EXPECT_LT(*after - *before, 16 * 1024) << "KiB of resident growth";
 }
 
 TEST(Node, GdsPathAvoidsHostMemory) {

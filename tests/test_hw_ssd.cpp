@@ -142,6 +142,45 @@ TEST(Ftl, WearFractionGrowsMonotonically) {
   EXPECT_LT(last, 1.0);
 }
 
+// Fingerprints of the FTL's choices (which block opens, which block GC
+// erases) read through its public counters: any change to block opening or
+// victim selection moves media writes, GC runs or the erase-count spread.
+// The values are the ones the original linear-scan FTL produced.
+TEST(Ftl, RandomOverwriteFingerprintIsPinned) {
+  hw::Ftl ftl(small_geometry());
+  u::Xoshiro256 rng(7);
+  const auto pages = static_cast<std::uint64_t>(ftl.logical_pages());
+  const auto random_lpa = [&] {
+    return static_cast<hw::Lpa>(rng.uniform_int(pages));
+  };
+  ftl.write_extent(0, ftl.logical_pages());
+  for (int i = 0; i < 200000; ++i) ftl.write_page(random_lpa());
+  for (int i = 0; i < 500; ++i) ftl.trim_page(random_lpa());
+  for (int i = 0; i < 50000; ++i) ftl.write_page(random_lpa());
+  EXPECT_EQ(ftl.host_pages_written(), 253584);
+  EXPECT_EQ(ftl.media_pages_written(), 1344391);
+  EXPECT_EQ(ftl.gc_runs(), 20945);
+  EXPECT_EQ(ftl.blocks_erased(), 20945);
+  EXPECT_EQ(ftl.min_erase_count(), 325);
+  EXPECT_EQ(ftl.max_erase_count(), 328);
+}
+
+TEST(Ftl, OffloadPatternFingerprintIsPinned) {
+  hw::Ftl ftl(small_geometry());
+  const std::int64_t extent_pages = 128;
+  const std::int64_t slots = ftl.logical_pages() / extent_pages;
+  for (int step = 0; step < 2000; ++step) {
+    const std::int64_t slot = step % slots;
+    ftl.write_extent(slot * extent_pages, extent_pages);
+    ftl.trim_extent(slot * extent_pages, extent_pages);
+  }
+  EXPECT_EQ(ftl.host_pages_written(), 256000);
+  EXPECT_EQ(ftl.media_pages_written(), 256000);
+  EXPECT_EQ(ftl.gc_runs(), 3938);
+  EXPECT_EQ(ftl.min_erase_count(), 61);
+  EXPECT_EQ(ftl.max_erase_count(), 62);
+}
+
 TEST(Ftl, OutOfRangeLpaRejected) {
   hw::Ftl ftl(small_geometry());
   EXPECT_THROW(ftl.write_page(-1), u::ContractViolation);

@@ -12,6 +12,7 @@
 #include "ssdtrain/modules/model.hpp"
 #include "ssdtrain/runtime/session.hpp"
 #include "ssdtrain/util/check.hpp"
+#include "ssdtrain/util/pool.hpp"
 #include "ssdtrain/util/units.hpp"
 
 namespace rt = ssdtrain::runtime;
@@ -258,6 +259,22 @@ TEST(Integration, LargerBatchDoesNotFitWithoutOffloadingButFitsWithIt) {
   EXPECT_THROW(run_one(std::move(keep)), hw::OutOfDeviceMemory);
   auto ssd = base_config(rt::Strategy::ssdtrain, 14336, 3, 24);
   EXPECT_NO_THROW(run_one(std::move(ssd)));
+}
+
+// An offload step that overflows the GPU throws with store jobs still
+// waiting on producer events that never fire. Destroying the session must
+// free them: a waiting store job must not own the tensor whose storage owns
+// the event it waits on. Every pooled completion and waiter is back once
+// the session is gone.
+TEST(Integration, OffloadStepThatThrowsFreesItsStoreJobs) {
+  ssdtrain::util::SlabPool::Handle pool;
+  {
+    rt::TrainingSession session(
+        base_config(rt::Strategy::ssdtrain, 14336, 6, 32));
+    pool = session.node().simulator().pool();
+    EXPECT_THROW(session.run_step(), hw::OutOfDeviceMemory);
+  }
+  EXPECT_EQ(pool->live(), 0u);
 }
 
 TEST(Integration, ComputeUtilizationStaysHigh) {

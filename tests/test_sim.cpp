@@ -150,6 +150,25 @@ TEST(Stream, WaitForAppliesToSubsequentTasks) {
   EXPECT_DOUBLE_EQ(kb->completion_time(), 5.0);
 }
 
+// A wait orders the next task on the stream, and stream order then covers
+// every later task, so the stream must drop the wait once a task has taken
+// it. Kept, every cross-stream gate of a long session (one per TP
+// all-reduce or DP gate) would stay alive and be folded into every later
+// task.
+TEST(Stream, WaitsExpireOnceATaskHasTakenThem) {
+  sim::Simulator s;
+  sim::Stream a(s, "a");
+  sim::Stream b(s, "b");
+  std::size_t live_after_first_round = 0;
+  for (int round = 0; round < 20; ++round) {
+    b.wait_for(a.enqueue("ka", 1.0));
+    b.enqueue("kb", 1.0);
+    s.run();
+    if (round == 0) live_after_first_round = s.pool()->live();
+  }
+  EXPECT_EQ(s.pool()->live(), live_after_first_round);
+}
+
 TEST(Stream, MarkerFiresAfterPriorWork) {
   sim::Simulator s;
   sim::Stream a(s, "a");

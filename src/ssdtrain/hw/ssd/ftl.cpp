@@ -1,7 +1,6 @@
 #include "ssdtrain/hw/ssd/ftl.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 #include "ssdtrain/util/check.hpp"
@@ -10,7 +9,7 @@ namespace ssdtrain::hw {
 
 namespace {
 
-// Checked before the tables are mapped: their sizes come from the geometry.
+// Checked before anything is sized from the geometry.
 NandGeometry validated(NandGeometry geometry, int gc_free_block_threshold) {
   util::expects(geometry.physical_blocks > gc_free_block_threshold + 1,
                 "too few blocks");
@@ -22,28 +21,38 @@ NandGeometry validated(NandGeometry geometry, int gc_free_block_threshold) {
 
 Ftl::Ftl(NandGeometry geometry)
     : geometry_(validated(geometry, kGcFreeBlockThreshold)),
-      blocks_(static_cast<std::size_t>(geometry_.physical_blocks)),
-      page_owner_(static_cast<std::size_t>(geometry_.physical_blocks) *
-                  static_cast<std::size_t>(geometry_.pages_per_block)),
-      map_(static_cast<std::size_t>(geometry_.logical_pages())),
-      free_blocks_(blocks_.size()),
-      free_by_erases_{static_cast<std::int64_t>(blocks_.size())} {
-  std::iota(free_blocks_.begin(), free_blocks_.end(), 0);
-}
+      logical_pages_(geometry_.logical_pages()),
+      free_count_(geometry_.physical_blocks) {}
 
-std::int64_t Ftl::logical_pages() const {
-  return static_cast<std::int64_t>(map_.size());
+void Ftl::map_tables() {
+  using util::ZeroPages;
+  const auto blocks = static_cast<std::size_t>(geometry_.physical_blocks);
+  const auto slots =
+      blocks * static_cast<std::size_t>(geometry_.pages_per_block);
+  const auto lpas = static_cast<std::size_t>(logical_pages_);
+  // Every block starts free with no erases.
+  free_by_erases_.assign(1, geometry_.physical_blocks);
+  tables_ = ZeroPages(ZeroPages::footprint<BlockInfo>(blocks) +
+                      ZeroPages::footprint<int>(blocks) +
+                      ZeroPages::footprint<Lpa>(slots) +
+                      ZeroPages::footprint<Slot>(lpas));
+  blocks_ = tables_.take<BlockInfo>(blocks);
+  free_list_ = tables_.take<int>(blocks);
+  page_owner_ = tables_.take<Lpa>(slots);
+  map_ = tables_.take<Slot>(lpas);
 }
 
 bool Ftl::is_mapped(Lpa lpa) const {
-  util::expects(lpa >= 0 && lpa < logical_pages(), "LPA out of range");
-  return map_[static_cast<std::size_t>(lpa)] != 0;
+  util::expects(lpa >= 0 && lpa < logical_pages_, "LPA out of range");
+  return !map_.empty() && map_[static_cast<std::size_t>(lpa)] != 0;
 }
 
 void Ftl::write_page(Lpa lpa) {
-  util::expects(lpa >= 0 && lpa < logical_pages(), "LPA out of range");
+  util::expects(lpa >= 0 && lpa < logical_pages_, "LPA out of range");
+  if (map_.empty()) map_tables();
   Slot& mapped = map_[static_cast<std::size_t>(lpa)];
-  // Overwrite: invalidate the previous physical copy.
+  // Overwrite: invalidate the previous physical copy. The page reads as
+  // unmapped until its new copy lands.
   if (mapped != 0) invalidate(mapped);
   ++host_pages_written_;
   mapped = append_page(lpa) + 1;
@@ -55,11 +64,10 @@ void Ftl::write_extent(Lpa first, std::int64_t count) {
 }
 
 void Ftl::trim_page(Lpa lpa) {
-  util::expects(lpa >= 0 && lpa < logical_pages(), "LPA out of range");
+  util::expects(lpa >= 0 && lpa < logical_pages_, "LPA out of range");
+  if (map_.empty()) return;  // never written
   Slot& mapped = map_[static_cast<std::size_t>(lpa)];
-  if (mapped == 0) return;  // already unmapped
-  invalidate(mapped);
-  mapped = 0;
+  if (mapped != 0) invalidate(mapped);
 }
 
 void Ftl::trim_extent(Lpa first, std::int64_t count) {
@@ -67,11 +75,12 @@ void Ftl::trim_extent(Lpa first, std::int64_t count) {
   for (std::int64_t i = 0; i < count; ++i) trim_page(first + i);
 }
 
-void Ftl::invalidate(Slot mapped) {
+void Ftl::invalidate(Slot& mapped) {
   const Slot slot = mapped - 1;
   page_owner_[static_cast<std::size_t>(slot)] = 0;
   --blocks_[static_cast<std::size_t>(slot / geometry_.pages_per_block)]
         .valid_count;
+  mapped = 0;
 }
 
 Ftl::Slot Ftl::append_page(Lpa lpa) {
@@ -98,8 +107,9 @@ Ftl::Slot Ftl::gc_append_page(Lpa lpa) {
     if (gc_block_ >= 0) {
       blocks_[static_cast<std::size_t>(gc_block_)].state = BlockState::closed;
     }
-    // GC erases its victim before relocating, so a free block always
-    // exists here (the victim itself in the worst case).
+    // ensure_free_block checked, before erasing the victim, that this
+    // block and the free blocks (the victim among them unless it retired)
+    // hold all its valid pages, so a free block exists here.
     gc_block_ = take_free_block();
     auto& fresh = blocks_[static_cast<std::size_t>(gc_block_)];
     fresh.state = BlockState::open;
@@ -119,14 +129,28 @@ Ftl::Slot Ftl::program_page(int block_index, Lpa lpa) {
 }
 
 void Ftl::ensure_free_block() {
-  while (static_cast<int>(free_blocks_.size()) <= kGcFreeBlockThreshold) {
+  while (free_count_ <= kGcFreeBlockThreshold) {
     const int victim = pick_victim();
     if (victim < 0) {
       throw std::runtime_error(
           "FTL: device worn out (no GC victim available)");
     }
-    ++gc_runs_;
     auto& vb = blocks_[static_cast<std::size_t>(victim)];
+    // A victim at its PE limit retires instead of rejoining the free list.
+    // Check that its valid pages fit before erasing it: survivors left half
+    // relocated would stay mapped to erased pages.
+    const bool retires = vb.erase_count + 1 >= geometry_.pe_cycle_limit;
+    const std::int64_t gc_room =
+        gc_block_ < 0
+            ? 0
+            : geometry_.pages_per_block -
+                  blocks_[static_cast<std::size_t>(gc_block_)].write_pointer;
+    const std::int64_t free_after = free_count_ + (retires ? 0 : 1);
+    if (vb.valid_count > gc_room + free_after * geometry_.pages_per_block) {
+      throw std::runtime_error(
+          "FTL: device worn out (no room to relocate a GC victim)");
+    }
+    ++gc_runs_;
     // Relocate still-valid pages. This is where write amplification comes
     // from: each relocated page is a media write with no host write.
     std::vector<Lpa> survivors;
@@ -178,7 +202,7 @@ void Ftl::erase_block(int block_index) {
     return;
   }
   block.state = BlockState::free;
-  free_blocks_.push_back(block_index);
+  free_list_[static_cast<std::size_t>(free_count_++)] = block_index + 1;
   const auto erases = static_cast<std::size_t>(block.erase_count);
   if (erases >= free_by_erases_.size()) free_by_erases_.resize(erases + 1);
   ++free_by_erases_[erases];
@@ -186,18 +210,19 @@ void Ftl::erase_block(int block_index) {
 }
 
 int Ftl::take_free_block() {
-  util::check(!free_blocks_.empty(), "no free block");
+  util::check(free_count_ > 0, "no free block");
   // Wear levelling: open the least-worn free block. The first one in the
   // list is the block a min_element scan over erase counts would pick.
   const int least = static_cast<int>(min_free_erases_);
-  auto it = std::find_if(
-      free_blocks_.begin(), free_blocks_.end(), [this, least](int b) {
-        return blocks_[static_cast<std::size_t>(b)].erase_count == least;
-      });
-  util::check(it != free_blocks_.end(), "free-block counts out of step");
-  const int chosen = *it;
-  *it = free_blocks_.back();
-  free_blocks_.pop_back();
+  int at = 0;
+  while (at < free_count_ &&
+         blocks_[static_cast<std::size_t>(free_block_at(at))].erase_count !=
+             least) {
+    ++at;
+  }
+  util::check(at < free_count_, "free-block counts out of step");
+  const int chosen = free_block_at(at);
+  free_list_[static_cast<std::size_t>(at)] = free_block_at(--free_count_) + 1;
   --free_by_erases_[min_free_erases_];
   while (min_free_erases_ < free_by_erases_.size() &&
          free_by_erases_[min_free_erases_] == 0) {
@@ -219,6 +244,7 @@ int Ftl::max_erase_count() const {
 }
 
 int Ftl::min_erase_count() const {
+  if (blocks_.empty()) return 0;  // never written
   int best = blocks_[0].erase_count;
   for (const auto& block : blocks_) best = std::min(best, block.erase_count);
   return best;
@@ -226,7 +252,7 @@ int Ftl::min_erase_count() const {
 
 double Ftl::wear_fraction() const {
   const double budget = static_cast<double>(geometry_.pe_cycle_limit) *
-                        static_cast<double>(blocks_.size());
+                        static_cast<double>(geometry_.physical_blocks);
   if (budget <= 0.0) return 1.0;
   double consumed = 0.0;
   for (const auto& block : blocks_) consumed += block.erase_count;

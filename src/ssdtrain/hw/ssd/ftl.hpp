@@ -10,13 +10,17 @@
 /// that claim instead of assuming it, and lets us demonstrate the contrast
 /// with the JESD-style random preconditioned workload (WAF ≫ 1).
 ///
-/// A drive costs host time and memory in proportion to the pages written to
-/// it: the block table, the page owners and the logical map live on
-/// anonymous zero pages whose all-zero value means "free, never erased",
-/// "invalid page" and "unmapped", and opening a block finds the least-worn
-/// free block without scanning the whole free list.
+/// A drive costs host time and memory only once it is written, and then in
+/// proportion to the pages written to it. Its first write maps one run of
+/// anonymous zero pages that holds all its tables (the block table, the
+/// free list, the page owners and the logical map); their all-zero values
+/// mean "free, never erased", "every block free, in index order", "invalid
+/// page" and "unmapped". Until then the drive maps nothing and reads as
+/// fresh. Opening a block finds the least-worn free block without scanning
+/// the whole free list.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ssdtrain/hw/ssd/nand.hpp"
@@ -30,11 +34,15 @@ using Lpa = std::int64_t;
 
 class Ftl {
  public:
+  /// Maps nothing: the tables are made at the first write_page.
   explicit Ftl(NandGeometry geometry);
+  Ftl(const Ftl&) = delete;  // the tables point into the drive's own mapping
+  Ftl& operator=(const Ftl&) = delete;
 
   /// Programs one logical page (overwrite invalidates the old copy). May
-  /// trigger garbage collection. Throws if the device has worn out (no
-  /// usable blocks remain).
+  /// trigger garbage collection. Throws std::runtime_error if the device has
+  /// worn out (GC finds no victim, or no room for a victim's valid pages);
+  /// the page then reads as unmapped.
   void write_page(Lpa lpa);
 
   /// Writes a run of consecutive logical pages (the activation-offload
@@ -47,7 +55,7 @@ class Ftl {
   void trim_extent(Lpa first, std::int64_t count);
 
   [[nodiscard]] bool is_mapped(Lpa lpa) const;
-  [[nodiscard]] std::int64_t logical_pages() const;
+  [[nodiscard]] std::int64_t logical_pages() const { return logical_pages_; }
 
   // -- statistics ------------------------------------------------------------
   [[nodiscard]] std::int64_t host_pages_written() const {
@@ -85,6 +93,9 @@ class Ftl {
   /// A physical page slot is block * pages_per_block + page.
   using Slot = std::int64_t;
 
+  /// Maps the drive's tables, at its first write.
+  void map_tables();
+
   /// Appends one page to the host open block (opening a fresh one as
   /// needed) and returns the slot it landed in. Media-write accounting
   /// happens here.
@@ -97,8 +108,9 @@ class Ftl {
   /// Programs the next page of open block \p block_index.
   Slot program_page(int block_index, Lpa lpa);
 
-  /// Invalidates the physical copy that logical map entry \p mapped names.
-  void invalidate(Slot mapped);
+  /// Invalidates the physical copy that logical map entry \p mapped names,
+  /// and unmaps the entry.
+  void invalidate(Slot& mapped);
 
   /// Ensures a free block is available, running GC as required.
   void ensure_free_block();
@@ -111,16 +123,29 @@ class Ftl {
   /// The first free block with the lowest erase count (wear levelling),
   /// swap-removed from the free list.
   int take_free_block();
+  /// The block at position \p i of the free list.
+  [[nodiscard]] int free_block_at(int i) const {
+    const int entry = free_list_[static_cast<std::size_t>(i)];
+    return entry == 0 ? i : entry - 1;
+  }
 
   NandGeometry geometry_;
-  util::ZeroPages<BlockInfo> blocks_;
+  std::int64_t logical_pages_;
+  /// Holds every table below; maps nothing until the first write, and the
+  /// tables are empty until then.
+  util::ZeroPages tables_;
+  std::span<BlockInfo> blocks_;
+  /// Positions [0, free_count_) are the free list. Position i holds
+  /// block + 1, or 0 for block i, so the initial list 0, 1, 2, ... is never
+  /// written.
+  std::span<int> free_list_;
   /// lpa + 1 per physical page slot; 0 if the slot holds no valid page.
-  util::ZeroPages<Lpa> page_owner_;
+  std::span<Lpa> page_owner_;
   /// slot + 1 per logical page; 0 if unmapped.
-  util::ZeroPages<Slot> map_;
-  std::vector<int> free_blocks_;
+  std::span<Slot> map_;
+  int free_count_;
   /// Free blocks per erase count, and the lowest count that has one
-  /// (free_by_erases_.size() when none is free).
+  /// (free_by_erases_.size() when none is free). Sized at the first write.
   std::vector<std::int64_t> free_by_erases_;
   std::size_t min_free_erases_ = 0;
   int open_block_ = -1;

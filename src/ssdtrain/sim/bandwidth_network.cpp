@@ -215,23 +215,24 @@ void BandwidthNetwork::refill_dirty() {
 
   // Collect the connected component(s) reachable from the dirty set: a
   // re-rated flow changes the residual capacity seen by every flow sharing
-  // a resource with it, transitively. Flows outside keep their rates.
-  std::vector<ResourceId> comp_resources;
-  std::vector<std::uint32_t> comp_flows;
-  std::vector<ResourceId> stack = dirty_resources_;
-  while (!stack.empty()) {
-    const ResourceId r = stack.back();
-    stack.pop_back();
-    comp_resources.push_back(r);
+  // a resource with it, transitively. Flows outside keep their rates. The
+  // walk consumes dirty_resources_ as its stack, and the component vectors
+  // are reused members: steady-state passes allocate nothing.
+  comp_resources_.clear();
+  comp_flows_.clear();
+  while (!dirty_resources_.empty()) {
+    const ResourceId r = dirty_resources_.back();
+    dirty_resources_.pop_back();
+    comp_resources_.push_back(r);
     for (std::uint32_t slot : resources_[r].subscribers) {
       Flow& flow = slots_[slot];
       if (flow.in_component) continue;
       flow.in_component = true;
-      comp_flows.push_back(slot);
+      comp_flows_.push_back(slot);
       for (ResourceId r2 : flow.path) {
         if (!resources_[r2].dirty) {
           resources_[r2].dirty = true;
-          stack.push_back(r2);
+          dirty_resources_.push_back(r2);
         }
       }
     }
@@ -240,18 +241,18 @@ void BandwidthNetwork::refill_dirty() {
     Flow& flow = slots_[slot];
     if (flow.id == 0 || flow.in_component) continue;
     flow.in_component = true;
-    comp_flows.push_back(slot);
+    comp_flows_.push_back(slot);
   }
   // Deterministic iteration order regardless of discovery order.
-  std::sort(comp_resources.begin(), comp_resources.end());
-  std::sort(comp_flows.begin(), comp_flows.end());
-  flows_refilled_ += comp_flows.size();
+  std::sort(comp_resources_.begin(), comp_resources_.end());
+  std::sort(comp_flows_.begin(), comp_flows_.end());
+  flows_refilled_ += comp_flows_.size();
 
   // Progressive filling over the component: all unfrozen flows rise to a
   // common level until a resource saturates or a flow hits its rate cap;
   // constrained flows freeze and the rest continue rising on the residual
   // capacity.
-  for (std::uint32_t slot : comp_flows) {
+  for (std::uint32_t slot : comp_flows_) {
     slots_[slot].rate = 0.0;
     slots_[slot].frozen = false;
   }
@@ -270,17 +271,17 @@ void BandwidthNetwork::refill_dirty() {
     return sum;
   };
 
-  std::size_t remaining_unfrozen = comp_flows.size();
+  std::size_t remaining_unfrozen = comp_flows_.size();
   while (remaining_unfrozen > 0) {
     // Highest common level permitted by any resource or flow cap.
     double level = unlimited;
-    for (ResourceId r : comp_resources) {
+    for (ResourceId r : comp_resources_) {
       const std::size_t n = unfrozen_count_on(r);
       if (n == 0) continue;
       const double avail = resources_[r].capacity - frozen_rate_on(r);
       level = std::min(level, std::max(0.0, avail) / static_cast<double>(n));
     }
-    for (std::uint32_t slot : comp_flows) {
+    for (std::uint32_t slot : comp_flows_) {
       if (!slots_[slot].frozen) level = std::min(level, slots_[slot].rate_cap);
     }
     util::check(std::isfinite(level),
@@ -288,7 +289,7 @@ void BandwidthNetwork::refill_dirty() {
 
     // Freeze every flow constrained at this level.
     bool froze_any = false;
-    for (std::uint32_t slot : comp_flows) {
+    for (std::uint32_t slot : comp_flows_) {
       Flow& flow = slots_[slot];
       if (flow.frozen) continue;
       bool constrained = flow.rate_cap <= level + 1e-12;
@@ -313,7 +314,7 @@ void BandwidthNetwork::refill_dirty() {
     if (!froze_any) {
       // No constraint binds (should not happen given the finite check);
       // give everyone the level and stop.
-      for (std::uint32_t slot : comp_flows) {
+      for (std::uint32_t slot : comp_flows_) {
         if (!slots_[slot].frozen) {
           slots_[slot].rate = level;
           slots_[slot].frozen = true;
@@ -323,9 +324,8 @@ void BandwidthNetwork::refill_dirty() {
     }
   }
 
-  for (ResourceId r : comp_resources) resources_[r].dirty = false;
-  for (std::uint32_t slot : comp_flows) slots_[slot].in_component = false;
-  dirty_resources_.clear();
+  for (ResourceId r : comp_resources_) resources_[r].dirty = false;
+  for (std::uint32_t slot : comp_flows_) slots_[slot].in_component = false;
   dirty_pathless_.clear();
 }
 

@@ -185,6 +185,10 @@ class BandwidthNetwork {
   std::size_t active_count_ = 0;
   std::vector<ResourceId> dirty_resources_;
   std::vector<std::uint32_t> dirty_pathless_;  // flows with an empty path
+  /// Scratch for refill_dirty: the resources and flows of the component it
+  /// re-rates.
+  std::vector<ResourceId> comp_resources_;
+  std::vector<std::uint32_t> comp_flows_;
   bool flush_pending_ = false;
   std::uint64_t next_flow_seq_ = 1;
   TimePoint last_advance_ = 0.0;

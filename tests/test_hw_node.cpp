@@ -19,12 +19,13 @@ namespace u = ssdtrain::util;
 
 namespace {
 
-/// Resident set of this process in KiB, from /proc/self/status.
-std::optional<long> resident_kib() {
+/// A KiB field of /proc/self/status, such as "VmRSS:" (resident set) or
+/// "VmSize:" (mapped address space).
+std::optional<long> status_kib(const std::string& field) {
   std::ifstream status("/proc/self/status");
   std::string key;
   while (status >> key) {
-    if (key == "VmRSS:") {
+    if (key == field) {
       long kib = 0;
       if (status >> kib) return kib;
       return std::nullopt;
@@ -108,16 +109,28 @@ TEST(Node, Table2MachineMatchesPaperSpec) {
   EXPECT_EQ(hw::catalog::table2_measured_gpu, 1);
 }
 
-// The FTL tables of the seven 1.6 TB drives span about 200 MiB, all of it
-// zero until a page is written: building the machine must leave them
-// untouched, so a session costs memory only for the pages it writes.
+// Building the machine writes no page, so it must leave the FTL tables of
+// its seven 1.6 TB drives untouched: a session costs memory only for the
+// pages it writes.
 TEST(Node, BuildingTable2NodeTouchesNoFtlTables) {
-  const std::optional<long> before = resident_kib();
+  const std::optional<long> before = status_kib("VmRSS:");
   if (!before) GTEST_SKIP() << "VmRSS is not readable here";
   hw::TrainingNode node(hw::catalog::table2_evaluation_node());
-  const std::optional<long> after = resident_kib();
+  const std::optional<long> after = status_kib("VmRSS:");
   ASSERT_TRUE(after.has_value());
   EXPECT_LT(*after - *before, 16 * 1024) << "KiB of resident growth";
+}
+
+// Each drive maps its FTL tables (about 27 MiB of address space for a
+// 1.6 TB drive, 185 MiB for all seven) at its first write, so building the
+// machine, which writes nothing, must not map them at all.
+TEST(Node, BuildingTable2NodeMapsNoFtlTables) {
+  const std::optional<long> before = status_kib("VmSize:");
+  if (!before) GTEST_SKIP() << "VmSize is not readable here";
+  hw::TrainingNode node(hw::catalog::table2_evaluation_node());
+  const std::optional<long> after = status_kib("VmSize:");
+  ASSERT_TRUE(after.has_value());
+  EXPECT_LT(*after - *before, 64 * 1024) << "KiB of address-space growth";
 }
 
 TEST(Node, GdsPathAvoidsHostMemory) {

@@ -181,10 +181,70 @@ TEST(Ftl, OffloadPatternFingerprintIsPinned) {
   EXPECT_EQ(ftl.max_erase_count(), 62);
 }
 
+// A drive maps its tables at its first write; until then it reads as fresh
+// and still range-checks every LPA.
 TEST(Ftl, OutOfRangeLpaRejected) {
   hw::Ftl ftl(small_geometry());
+  const hw::Lpa past_end = ftl.logical_pages();
+  for (const hw::Lpa bad : {hw::Lpa{-1}, past_end}) {
+    EXPECT_THROW(ftl.trim_page(bad), u::ContractViolation);
+    EXPECT_THROW((void)ftl.is_mapped(bad), u::ContractViolation);
+  }
+  EXPECT_FALSE(ftl.is_mapped(0));
+  EXPECT_FALSE(ftl.is_mapped(past_end - 1));
+  ftl.trim_extent(0, past_end);
+  EXPECT_EQ(ftl.min_erase_count(), 0);
+  EXPECT_EQ(ftl.max_erase_count(), 0);
+  EXPECT_EQ(ftl.wear_fraction(), 0.0);
+  EXPECT_EQ(ftl.write_amplification(), 1.0);
+  EXPECT_EQ(ftl.host_pages_written(), 0);
+  EXPECT_EQ(ftl.media_pages_written(), 0);
   EXPECT_THROW(ftl.write_page(-1), u::ContractViolation);
-  EXPECT_THROW(ftl.write_page(ftl.logical_pages()), u::ContractViolation);
+  EXPECT_THROW(ftl.write_page(past_end), u::ContractViolation);
+}
+
+// With 5 PE cycles per block, GC retires victims until one's valid pages no
+// longer fit in the free blocks left. The drive must report that as the
+// documented worn-out error before erasing the victim, not fail an internal
+// check with survivors half relocated. The counters fingerprint the free
+// list as retirements shrink it.
+TEST(Ftl, WornOutDriveThrowsRuntimeError) {
+  auto geo = small_geometry();
+  geo.pe_cycle_limit = 5;
+  hw::Ftl ftl(geo);
+  u::Xoshiro256 rng(7);
+  const auto pages = static_cast<std::uint64_t>(ftl.logical_pages());
+  ftl.write_extent(0, ftl.logical_pages());
+  int overwrites = 0;
+  hw::Lpa lpa = -1;
+  bool worn_out = false;
+  while (!worn_out && overwrites < 10000) {
+    lpa = static_cast<hw::Lpa>(rng.uniform_int(pages));
+    ++overwrites;
+    try {
+      ftl.write_page(lpa);
+    } catch (const u::ContractViolation&) {
+      FAIL() << "internal check failed at overwrite " << overwrites;
+    } catch (const std::runtime_error&) {
+      worn_out = true;
+    }
+  }
+  ASSERT_TRUE(worn_out);
+  EXPECT_EQ(overwrites, 3009);
+  EXPECT_EQ(ftl.host_pages_written(), 6593);
+  EXPECT_EQ(ftl.media_pages_written(), 20005);
+  EXPECT_EQ(ftl.gc_runs(), 255);
+  EXPECT_EQ(ftl.blocks_erased(), 255);
+  EXPECT_EQ(ftl.retired_blocks(), 6);
+  EXPECT_EQ(ftl.min_erase_count(), 3);
+  EXPECT_EQ(ftl.max_erase_count(), 5);
+  // The failed overwrite invalidated the old copy and mapped no new one.
+  EXPECT_FALSE(ftl.is_mapped(lpa));
+  // Every mapping still names a valid page: trimming them all frees whole
+  // blocks, and GC can erase those to take new writes.
+  ftl.trim_extent(0, ftl.logical_pages());
+  EXPECT_NO_THROW(ftl.write_extent(0, geo.pages_per_block));
+  EXPECT_TRUE(ftl.is_mapped(0));
 }
 
 TEST(SsdDevice, ExtentLifecycleAndAccounting) {

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "ssdtrain/sim/bandwidth_network.hpp"
 #include "ssdtrain/sim/completion.hpp"
 #include "ssdtrain/sim/event_heap.hpp"
 #include "ssdtrain/sim/simulator.hpp"
@@ -26,6 +27,7 @@
 #include "ssdtrain/util/label.hpp"
 #include "ssdtrain/util/pool.hpp"
 #include "ssdtrain/util/unique_function.hpp"
+#include "ssdtrain/util/units.hpp"
 
 namespace sim = ssdtrain::sim;
 namespace u = ssdtrain::util;
@@ -626,4 +628,38 @@ TEST(ZeroAllocation, SteadyStateCompletionChurnStaysInThePool) {
   const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
       << "completion create/wait/fire allocated at steady state";
+}
+
+TEST(ZeroAllocation, SteadyStateFlowRefillsDoNotTouchTheHeap) {
+  if (kSanitized) {
+    GTEST_SKIP() << "allocation counting is not meaningful under sanitizers";
+  }
+  sim::Simulator s;
+  sim::BandwidthNetwork net(s);
+  using Path = std::vector<sim::BandwidthNetwork::ResourceId>;
+  const auto a = net.add_resource("a", 10e9);
+  const auto b = net.add_resource("b", 4e9);
+  const auto c = net.add_resource("c", 6e9);
+  const u::Label label("flow");
+  int drained = 0;
+  // Flows of different sizes on three pairwise-shared resources: every
+  // start and completion re-rates one connected component.
+  const auto start_batch = [&] {
+    for (int i = 0; i < 24; ++i) {
+      Path path = i % 3 == 0 ? Path{a, b} : i % 3 == 1 ? Path{a, c} : Path{b, c};
+      net.start_flow(label, u::mib(i + 1), std::move(path),
+                     [&drained] { ++drained; });
+    }
+  };
+  start_batch();  // warmup: scratch vectors and the event heap grow here
+  s.run();
+  start_batch();  // the paths are built outside the counted window
+  const std::uint64_t passes = net.filling_passes();
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  s.run();
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(drained, 48);
+  EXPECT_GT(net.filling_passes(), passes);
+  EXPECT_EQ(after - before, 0u)
+      << "flow refills and completions allocated at steady state";
 }

@@ -2,8 +2,8 @@
 // sweep (BERT H8192 L2, three strategies x four batch sizes) at 1, 2, 4,
 // and all-hardware-threads workers and prints the speedup over the
 // single-worker run. This makes the parallel win demonstrable on multi-core
-// machines and turns scheduler regressions (a wedged queue, serialized
-// stealing) into a visible slowdown.
+// machines and turns scheduler regressions (a wedged worker, points that
+// run one at a time) into a visible slowdown.
 //
 // The sweep results themselves are also cross-checked between worker
 // counts: per-point isolation means numbers must not depend on scheduling.
@@ -84,10 +84,10 @@ int main(int argc, char** argv) {
     // instead of the harness's; each joins before `bench` goes away.
     sweep::SweepRunner runner(workers);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto outcomes = runner.run(
-        spec,
-        [&bench](const sweep::SweepPoint& p) { return run_point(bench, p); },
-        bench.cli().map_options());
+    const auto outcomes =
+        runner.run(spec, [&bench](const sweep::SweepPoint& p) {
+          return run_point(bench, p);
+        });
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();

@@ -7,24 +7,6 @@
 
 namespace ssdtrain::hw {
 
-std::string_view to_string(MemoryTag tag) {
-  switch (tag) {
-    case MemoryTag::weights:
-      return "weights";
-    case MemoryTag::gradients:
-      return "gradients";
-    case MemoryTag::optimizer_state:
-      return "optimizer_state";
-    case MemoryTag::activation:
-      return "activation";
-    case MemoryTag::workspace:
-      return "workspace";
-    case MemoryTag::other:
-      return "other";
-  }
-  return "?";
-}
-
 DeviceAllocator::DeviceAllocator(util::Bytes capacity) : arena_(capacity) {}
 
 std::size_t DeviceAllocator::tag_index(MemoryTag tag) const {

@@ -13,7 +13,6 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 #include "ssdtrain/hw/block_allocator.hpp"
 #include "ssdtrain/util/units.hpp"
@@ -30,8 +29,6 @@ enum class MemoryTag : std::uint8_t {
   other,
 };
 inline constexpr std::size_t kMemoryTagCount = 6;
-
-std::string_view to_string(MemoryTag tag);
 
 /// Handle to one live device allocation. Carries its arena block so the
 /// free path is handle-driven — no id-keyed map between DeviceAllocator

@@ -6,20 +6,6 @@
 
 namespace ssdtrain::hw {
 
-std::string_view to_string(CellType type) {
-  switch (type) {
-    case CellType::slc:
-      return "SLC";
-    case CellType::mlc:
-      return "MLC";
-    case CellType::tlc:
-      return "TLC";
-    case CellType::qlc:
-      return "QLC";
-  }
-  return "?";
-}
-
 int default_pe_cycle_limit(CellType type) {
   switch (type) {
     case CellType::slc:

@@ -8,7 +8,6 @@
 /// types make those quantities explicit.
 
 #include <cstdint>
-#include <string_view>
 
 #include "ssdtrain/util/units.hpp"
 
@@ -16,8 +15,6 @@ namespace ssdtrain::hw {
 
 /// Bits stored per cell; more bits → cheaper capacity, fewer PE cycles.
 enum class CellType : std::uint8_t { slc, mlc, tlc, qlc };
-
-std::string_view to_string(CellType type);
 
 /// Typical program/erase cycle budgets per cell type (order-of-magnitude
 /// values from the flash literature; retention relaxation multiplies these,

@@ -30,11 +30,73 @@ ExitStatus status_from(int wstatus) {
   return status;
 }
 
-/// fork/exec with the child in its own process group and stdout+stderr
-/// appended to log_path. Used by both backends.
-int spawn_process(const std::vector<std::string>& argv,
-                  const std::string& log_path) {
-  util::expects(!argv.empty(), "launcher: empty worker command");
+}  // namespace
+
+std::string ExitStatus::to_text() const {
+  if (signaled) return "killed by signal " + std::to_string(signal);
+  if (code == 0) return "exit 0";
+  return "exit " + std::to_string(code);
+}
+
+std::string shell_quote(const std::string& word) {
+  std::string out = "'";
+  for (char c : word) {
+    if (c == '\'') {
+      out += "'\\''";
+    } else {
+      out += c;
+    }
+  }
+  out += "'";
+  return out;
+}
+
+Launcher::Launcher(std::string command_template,
+                   std::vector<std::string> hosts)
+    : template_(std::move(command_template)), hosts_(std::move(hosts)) {
+  util::expects(template_.empty() ||
+                    template_.find("{cmd}") != std::string::npos,
+                "--launcher-template must contain {cmd}");
+  util::expects(hosts_.empty() || !template_.empty(),
+                "--hosts needs --launcher-template");
+  util::expects(hosts_.empty() ||
+                    template_.find("{host}") != std::string::npos,
+                "--hosts given but --launcher-template has no {host}");
+}
+
+std::string Launcher::format(int shard,
+                             const std::vector<std::string>& argv) const {
+  std::string cmd;
+  for (const std::string& arg : argv) {
+    if (!cmd.empty()) cmd += ' ';
+    cmd += shell_quote(arg);
+  }
+  const std::string host =
+      hosts_.empty() ? std::string()
+                     : hosts_[static_cast<std::size_t>(shard) %
+                              hosts_.size()];
+  std::string out = template_;
+  const auto substitute = [&out](std::string_view key,
+                                 const std::string& value) {
+    for (std::size_t at = out.find(key); at != std::string::npos;
+         at = out.find(key, at + value.size())) {
+      out.replace(at, key.size(), value);
+    }
+  };
+  substitute("{cmd}", cmd);
+  substitute("{host}", host);
+  substitute("{shard}", std::to_string(shard));
+  return out;
+}
+
+int Launcher::spawn(int shard, const std::vector<std::string>& worker_argv,
+                    const std::string& log_path) {
+  util::expects(!worker_argv.empty(), "launcher: empty worker command");
+  const std::vector<std::string> argv =
+      template_.empty()
+          ? worker_argv
+          : std::vector<std::string>{"/bin/sh", "-c",
+                                     format(shard, worker_argv)};
   std::vector<char*> cargv;
   cargv.reserve(argv.size() + 1);
   for (const std::string& arg : argv) {
@@ -67,9 +129,9 @@ int spawn_process(const std::vector<std::string>& argv,
   return static_cast<int>(pid);
 }
 
-std::optional<ExitStatus> poll_process(int pid) {
+std::optional<ExitStatus> Launcher::poll(int handle) {
   int wstatus = 0;
-  const pid_t r = ::waitpid(static_cast<pid_t>(pid), &wstatus, WNOHANG);
+  const pid_t r = ::waitpid(static_cast<pid_t>(handle), &wstatus, WNOHANG);
   if (r == 0) return std::nullopt;  // still running
   if (r < 0) {
     // Already reaped (or never ours): report a generic failure rather than
@@ -81,108 +143,21 @@ std::optional<ExitStatus> poll_process(int pid) {
   return status_from(wstatus);
 }
 
-void kill_process(int pid) {
+void Launcher::kill(int handle) {
   // The whole process group; a SIGSTOPped process cannot defer SIGKILL.
-  ::kill(-static_cast<pid_t>(pid), SIGKILL);
-  ::kill(static_cast<pid_t>(pid), SIGKILL);
+  ::kill(-static_cast<pid_t>(handle), SIGKILL);
+  ::kill(static_cast<pid_t>(handle), SIGKILL);
 }
 
-ExitStatus wait_process(int pid) {
+ExitStatus Launcher::wait(int handle) {
   int wstatus = 0;
-  const pid_t r = ::waitpid(static_cast<pid_t>(pid), &wstatus, 0);
+  const pid_t r = ::waitpid(static_cast<pid_t>(handle), &wstatus, 0);
   if (r < 0) {
     ExitStatus status;
     status.code = -1;
     return status;
   }
   return status_from(wstatus);
-}
-
-}  // namespace
-
-std::string ExitStatus::to_text() const {
-  if (signaled) return "killed by signal " + std::to_string(signal);
-  if (code == 0) return "exit 0";
-  return "exit " + std::to_string(code);
-}
-
-int LocalLauncher::spawn(int shard, const std::vector<std::string>& argv,
-                         const std::string& log_path) {
-  (void)shard;
-  return spawn_process(argv, log_path);
-}
-
-std::optional<ExitStatus> LocalLauncher::poll(int handle) {
-  return poll_process(handle);
-}
-
-void LocalLauncher::kill(int handle) { kill_process(handle); }
-
-ExitStatus LocalLauncher::wait(int handle) { return wait_process(handle); }
-
-std::string shell_quote(const std::string& word) {
-  std::string out = "'";
-  for (char c : word) {
-    if (c == '\'') {
-      out += "'\\''";
-    } else {
-      out += c;
-    }
-  }
-  out += "'";
-  return out;
-}
-
-CommandTemplateLauncher::CommandTemplateLauncher(
-    std::string command_template, std::vector<std::string> hosts)
-    : template_(std::move(command_template)), hosts_(std::move(hosts)) {
-  util::expects(template_.find("{cmd}") != std::string::npos,
-                "--launcher-template must contain {cmd}");
-  util::expects(hosts_.empty() ||
-                    template_.find("{host}") != std::string::npos,
-                "--hosts given but --launcher-template has no {host}");
-}
-
-std::string CommandTemplateLauncher::format(
-    int shard, const std::vector<std::string>& argv) const {
-  std::string cmd;
-  for (const std::string& arg : argv) {
-    if (!cmd.empty()) cmd += ' ';
-    cmd += shell_quote(arg);
-  }
-  const std::string host =
-      hosts_.empty() ? std::string()
-                     : hosts_[static_cast<std::size_t>(shard) %
-                              hosts_.size()];
-  std::string out = template_;
-  const auto substitute = [&out](std::string_view key,
-                                 const std::string& value) {
-    for (std::size_t at = out.find(key); at != std::string::npos;
-         at = out.find(key, at + value.size())) {
-      out.replace(at, key.size(), value);
-    }
-  };
-  substitute("{cmd}", cmd);
-  substitute("{host}", host);
-  substitute("{shard}", std::to_string(shard));
-  return out;
-}
-
-int CommandTemplateLauncher::spawn(int shard,
-                                   const std::vector<std::string>& argv,
-                                   const std::string& log_path) {
-  return local_.spawn(
-      shard, {"/bin/sh", "-c", format(shard, argv)}, log_path);
-}
-
-std::optional<ExitStatus> CommandTemplateLauncher::poll(int handle) {
-  return local_.poll(handle);
-}
-
-void CommandTemplateLauncher::kill(int handle) { local_.kill(handle); }
-
-ExitStatus CommandTemplateLauncher::wait(int handle) {
-  return local_.wait(handle);
 }
 
 }  // namespace ssdtrain::orchestrate

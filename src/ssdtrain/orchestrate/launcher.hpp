@@ -1,15 +1,15 @@
 #pragma once
 
 /// \file launcher.hpp
-/// Pluggable worker-process launchers for the sweep orchestrator. The
-/// supervisor only needs four verbs — spawn, poll, kill, wait — so remote
-/// execution (ssh, a job queue) plugs in behind the same interface as the
-/// local fork/exec backend.
+/// The sweep orchestrator's worker-process launcher. The supervisor needs
+/// four verbs — spawn, poll, kill, wait. Without a command template a
+/// worker is fork/exec'd on this machine; with one, remote execution (ssh,
+/// a job queue) runs through the same verbs.
 ///
-/// Handles are opaque ints (locally: the child pid). Every backend runs a
-/// *local* process; the command-template backend's local process is the
-/// transport (e.g. `ssh host ...`), so killing the handle kills the
-/// transport and the remote side is expected to die with its session.
+/// Handles are opaque ints (the child pid). Every launch runs a *local*
+/// process; with a template, that local process is the transport (e.g.
+/// `ssh host ...`), so killing the handle kills the transport and the
+/// remote side is expected to die with its session.
 
 #include <cstddef>
 #include <optional>
@@ -28,41 +28,11 @@ struct ExitStatus {
   [[nodiscard]] std::string to_text() const;
 };
 
-class Launcher {
- public:
-  virtual ~Launcher() = default;
-
-  /// Starts \p argv for shard \p shard with stdout+stderr appended to
-  /// \p log_path. Returns an opaque handle. Throws std::runtime_error when
-  /// the process cannot be started at all (fork failure); an exec failure
-  /// inside the child surfaces as exit code 127 through poll().
-  virtual int spawn(int shard, const std::vector<std::string>& argv,
-                    const std::string& log_path) = 0;
-
-  /// Non-blocking: the exit status if the worker has ended, else nullopt.
-  [[nodiscard]] virtual std::optional<ExitStatus> poll(int handle) = 0;
-
-  /// SIGKILLs the worker's process group (a SIGSTOPped worker dies too —
-  /// SIGKILL cannot be blocked or deferred by a stopped process).
-  virtual void kill(int handle) = 0;
-
-  /// Blocks until the (killed) worker is reaped.
-  virtual ExitStatus wait(int handle) = 0;
-};
-
-/// fork/exec on this machine. Each worker runs in its own process group so
-/// kill() takes out any helper processes the worker spawned.
-class LocalLauncher : public Launcher {
- public:
-  int spawn(int shard, const std::vector<std::string>& argv,
-            const std::string& log_path) override;
-  std::optional<ExitStatus> poll(int handle) override;
-  void kill(int handle) override;
-  ExitStatus wait(int handle) override;
-};
-
-/// Generic command-template backend: formats the worker command into a
-/// shell-command template and runs it through `/bin/sh -c`. Placeholders:
+/// Runs workers as processes on this machine (fork/exec), each in its own
+/// process group so kill() takes out any helper processes it spawned.
+///
+/// An optional command template formats the worker command into a shell
+/// command run through `/bin/sh -c`. Placeholders:
 ///   {cmd}    the worker argv, shell-quoted and space-joined
 ///   {host}   hosts[shard % hosts.size()] ("" with no host list)
 ///   {shard}  the shard index
@@ -71,25 +41,37 @@ class LocalLauncher : public Launcher {
 /// Note: with a remote transport the worker's --csv path must live on a
 /// filesystem the *orchestrator* can read (shared FS), because heartbeats
 /// are CSV row counts.
-class CommandTemplateLauncher : public Launcher {
+class Launcher {
  public:
-  CommandTemplateLauncher(std::string command_template,
-                          std::vector<std::string> hosts);
+  /// An empty \p command_template execs the worker argv directly; a
+  /// non-empty one must contain {cmd}, and \p hosts needs one with {host}.
+  explicit Launcher(std::string command_template = {},
+                    std::vector<std::string> hosts = {});
 
   /// The formatted shell command for a launch (exposed for tests/logs).
   [[nodiscard]] std::string format(int shard,
                                    const std::vector<std::string>& argv) const;
 
+  /// Starts \p argv for shard \p shard with stdout+stderr appended to
+  /// \p log_path. Returns an opaque handle. Throws std::runtime_error when
+  /// the process cannot be started at all (fork failure); an exec failure
+  /// inside the child surfaces as exit code 127 through poll().
   int spawn(int shard, const std::vector<std::string>& argv,
-            const std::string& log_path) override;
-  std::optional<ExitStatus> poll(int handle) override;
-  void kill(int handle) override;
-  ExitStatus wait(int handle) override;
+            const std::string& log_path);
+
+  /// Non-blocking: the exit status if the worker has ended, else nullopt.
+  [[nodiscard]] std::optional<ExitStatus> poll(int handle);
+
+  /// SIGKILLs the worker's process group (a SIGSTOPped worker dies too —
+  /// SIGKILL cannot be blocked or deferred by a stopped process).
+  void kill(int handle);
+
+  /// Blocks until the (killed) worker is reaped.
+  ExitStatus wait(int handle);
 
  private:
-  std::string template_;
+  std::string template_;  ///< "" = exec the worker argv directly
   std::vector<std::string> hosts_;
-  LocalLauncher local_;  ///< runs the formatted transport command
 };
 
 /// 'a b'-safe single-quote shell quoting for {cmd} substitution.

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
-#include <stdexcept>
+#include <iterator>
 
 #include "ssdtrain/sweep/resume.hpp"
+#include "ssdtrain/util/csv.hpp"
 
 namespace ssdtrain::orchestrate {
 
@@ -26,36 +26,25 @@ struct ShardFile {
     issues.push_back(ShardIssue{index, path, std::move(problem)});
     return false;
   };
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
+  util::CsvLines file = util::read_csv_lines(path);
+  if (!file.exists) {
     return fail("missing — the shard never started or its file was removed; "
                 "run the shard (or re-run the orchestrator) to produce it");
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-  if (content.empty()) {
+  if (file.lines.empty() && !file.torn_tail) {
     return fail("empty — the shard was killed before writing its header; "
                 "re-run it to completion before merging");
   }
-  if (content.back() != '\n') {
+  if (file.torn_tail) {
     return fail(
         "torn tail (does not end in a newline) — the shard was interrupted "
         "mid-write; re-run it to completion (its --csv resume repairs the "
         "tail and skips finished points) before merging");
   }
   shard.path = path;
-  std::size_t start = 0;
-  for (std::size_t nl = content.find('\n', start); nl != std::string::npos;
-       nl = content.find('\n', start)) {
-    std::string line = content.substr(start, nl - start);
-    if (shard.header.empty() && shard.rows.empty() && start == 0) {
-      shard.header = std::move(line);
-    } else {
-      shard.rows.push_back(std::move(line));
-    }
-    start = nl + 1;
-  }
+  shard.header = std::move(file.lines.front());
+  shard.rows.assign(std::make_move_iterator(file.lines.begin() + 1),
+                    std::make_move_iterator(file.lines.end()));
   if (shard.header.empty()) return fail("has no header line");
   const std::size_t columns =
       ssdtrain::sweep::split_csv_line(shard.header).size();
@@ -142,22 +131,12 @@ MergeReport merge_shards(const std::vector<std::string>& shard_paths,
 }
 
 CsvScan scan_csv(const std::string& path) {
+  const util::CsvLines file = util::read_csv_lines(path);
   CsvScan scan;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return scan;
-  scan.exists = true;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-  std::size_t lines = 0;
-  std::size_t start = 0;
-  for (std::size_t nl = content.find('\n', start); nl != std::string::npos;
-       nl = content.find('\n', start)) {
-    ++lines;
-    start = nl + 1;
-  }
-  scan.rows = lines > 0 ? lines - 1 : 0;  // first complete line = header
-  scan.torn_tail = start < content.size();
+  scan.exists = file.exists;
+  // The first complete line is the header.
+  scan.rows = file.lines.empty() ? 0 : file.lines.size() - 1;
+  scan.torn_tail = file.torn_tail;
   return scan;
 }
 

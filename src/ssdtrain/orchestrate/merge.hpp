@@ -47,9 +47,9 @@ MergeReport merge_shards(const std::vector<std::string>& shard_paths,
 std::string describe(const MergeReport& report);
 
 /// Cheap progress scan of a shard CSV — the supervisor's heartbeat read.
-/// Counts newline-terminated data rows exactly the way sweep::CsvResume
-/// does (the header is not a row; an unterminated tail is not a row, it is
-/// the torn-tail signal).
+/// Counts the complete data rows of util::read_csv_lines, the reader
+/// sweep::CsvResume uses too (the header is not a row; an unterminated tail
+/// is not a row, it is the torn-tail signal).
 struct CsvScan {
   bool exists = false;
   std::size_t rows = 0;   ///< complete data rows

@@ -3,8 +3,8 @@
 /// \file supervisor.hpp
 /// The fault-tolerant sweep orchestrator's babysitting loop. A Supervisor
 /// partitions a sweep into N shards, launches each as a worker process
-/// through a pluggable Launcher, and drives every shard through a small
-/// state machine until the whole sweep is merged and verified:
+/// through a Launcher, and drives every shard through a small state
+/// machine until the whole sweep is merged and verified:
 ///
 ///   pending -> running -> done
 ///                |  ^

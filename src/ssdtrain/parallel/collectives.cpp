@@ -43,16 +43,6 @@ util::Seconds all_reduce_time(util::Bytes bytes, int ranks,
   return ring_time(all_reduce_traffic(bytes, ranks), ranks, fabric);
 }
 
-util::Seconds all_gather_time(util::Bytes bytes, int ranks,
-                              const FabricSpec& fabric) {
-  return ring_time(all_gather_traffic(bytes, ranks), ranks, fabric);
-}
-
-util::Seconds reduce_scatter_time(util::Bytes bytes, int ranks,
-                                  const FabricSpec& fabric) {
-  return ring_time(reduce_scatter_traffic(bytes, ranks), ranks, fabric);
-}
-
 util::Seconds point_to_point_time(util::Bytes bytes,
                                   const FabricSpec& fabric) {
   util::expects(bytes >= 0, "negative message");

@@ -23,10 +23,6 @@ double reduce_scatter_traffic(util::Bytes bytes, int ranks);
 
 util::Seconds all_reduce_time(util::Bytes bytes, int ranks,
                               const FabricSpec& fabric);
-util::Seconds all_gather_time(util::Bytes bytes, int ranks,
-                              const FabricSpec& fabric);
-util::Seconds reduce_scatter_time(util::Bytes bytes, int ranks,
-                                  const FabricSpec& fabric);
 util::Seconds point_to_point_time(util::Bytes bytes,
                                   const FabricSpec& fabric);
 

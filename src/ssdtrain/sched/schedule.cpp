@@ -200,14 +200,6 @@ std::string_view to_string(PipelineKind kind) {
   return "?";
 }
 
-PipelineKind pipeline_kind_from(std::string_view name) {
-  if (name == "1f1b") return PipelineKind::one_f_one_b;
-  if (name == "gpipe") return PipelineKind::gpipe;
-  if (name == "interleaved") return PipelineKind::interleaved_1f1b;
-  util::check(false, "unknown pipeline schedule (want 1f1b/gpipe/interleaved)");
-  return PipelineKind::one_f_one_b;
-}
-
 std::vector<Command> stage_schedule(PipelineKind kind, int micro_batches,
                                     int pipeline_stages, int stage,
                                     int virtual_stages) {

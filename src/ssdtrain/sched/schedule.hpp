@@ -96,8 +96,6 @@ enum class PipelineKind : std::uint8_t {
 };
 
 std::string_view to_string(PipelineKind kind);
-/// Parses "1f1b" / "gpipe" / "interleaved" (throws on anything else).
-PipelineKind pipeline_kind_from(std::string_view name);
 
 /// Per-stage command stream for the given schedule family.
 std::vector<Command> stage_schedule(PipelineKind kind, int micro_batches,

@@ -117,11 +117,6 @@ double BandwidthNetwork::flow_remaining(FlowId id) const {
   return std::max(0.0, flow->remaining - flow->rate * dt);
 }
 
-util::BytesPerSecond BandwidthNetwork::flow_rate(FlowId id) const {
-  const Flow* flow = find_flow(id);
-  return flow == nullptr ? 0.0 : flow->rate;
-}
-
 double BandwidthNetwork::resource_delivered(ResourceId id) const {
   util::expects(id < resources_.size(), "bad resource id");
   double delivered = resources_[id].delivered;

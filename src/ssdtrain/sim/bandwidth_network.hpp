@@ -76,9 +76,6 @@ class BandwidthNetwork {
   /// Bytes not yet delivered for an active flow (0 for finished flows).
   [[nodiscard]] double flow_remaining(FlowId id) const;
 
-  /// Current allocated rate for an active flow (0 for finished flows).
-  [[nodiscard]] util::BytesPerSecond flow_rate(FlowId id) const;
-
   /// Total bytes delivered through a resource since construction.
   [[nodiscard]] double resource_delivered(ResourceId id) const;
 

@@ -3,10 +3,9 @@
 /// \file bench_main.hpp
 /// The harness of every sweep bench and sweep example. BenchMain parses the
 /// shared CLI (cli.hpp) once and owns what each binary would otherwise
-/// copy: the ProgramCache its sessions share, the SweepRunner (--workers,
-/// --point-timeout, --retries), failure reporting, and configure(), which
-/// applies the session flags to every SessionConfig and ClusterConfig the
-/// binary builds.
+/// copy: the ProgramCache its sessions share, the SweepRunner (--workers),
+/// failure reporting, and configure(), which applies the session flags to
+/// every SessionConfig and ClusterConfig the binary builds.
 ///
 /// A binary declares the shape of its grid, and the shape decides which
 /// flags it accepts:
@@ -91,7 +90,7 @@ class BenchMain {
   template <typename T, typename F>
   auto run(const std::vector<T>& items, F fn)
       -> std::optional<std::vector<std::invoke_result_t<F&, const T&>>> {
-    auto outcomes = runner().map(items, std::move(fn), cli_.map_options());
+    auto outcomes = runner().map(items, std::move(fn));
     std::vector<std::invoke_result_t<F&, const T&>> values;
     values.reserve(items.size());
     bool complete = true;
@@ -142,8 +141,7 @@ class BenchMain {
             progress_->commit(i, std::move(row));
           }
           return result;
-        },
-        cli_.map_options());
+        });
     std::vector<std::pair<SweepPoint, R>> done;
     for (std::size_t i = 0; i < todo_.size(); ++i) {
       if (outcomes[i].ok()) {
@@ -170,9 +168,6 @@ class BenchMain {
   std::vector<SweepPoint> todo_;
   std::unique_ptr<CsvProgress> progress_;
   bool failed_ = false;
-  // Declared last, so destroyed first: a timed-out point keeps running
-  // after map() returns, and until the runner joins it, it may still use
-  // the cache, the point list and the CSV stream above.
   std::optional<SweepRunner> runner_;
 };
 

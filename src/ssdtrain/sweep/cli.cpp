@@ -112,18 +112,6 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if (arg == "--points") {
       util::expects(i + 1 < argc, "--points requires a=1[,b=2...]");
       parse_points_list(argv[++i], options);
-    } else if (arg == "--point-timeout") {
-      util::expects(i + 1 < argc, "--point-timeout requires seconds");
-      const char* text = argv[++i];
-      char* end = nullptr;
-      errno = 0;
-      const double seconds = std::strtod(text, &end);
-      util::expects(end != text && *end == '\0' && errno != ERANGE &&
-                        seconds >= 0.0,
-                    "--point-timeout expects a non-negative number of "
-                    "seconds, got '" +
-                        std::string(text) + "'");
-      options.point_timeout = seconds;
     } else if (arg == "--no-replay") {
       options.no_replay = true;
     } else if (arg == "--pp") {
@@ -196,24 +184,12 @@ CliOptions parse_cli(int argc, char** argv) {
       options.chaos_exec = argv[++i];
       // Parse eagerly so grammar errors surface at startup.
       (void)ChaosExec::parse(options.chaos_exec);
-    } else if (arg == "--retries") {
-      util::expects(i + 1 < argc, "--retries requires a count");
-      const char* text = argv[++i];
-      char* end = nullptr;
-      errno = 0;
-      const long n = std::strtol(text, &end, 10);
-      util::expects(end != text && *end == '\0' && errno != ERANGE &&
-                        n >= 0 && n <= 100,
-                    "--retries expects an integer in [0, 100], got '" +
-                        std::string(text) + "'");
-      options.retries = static_cast<int>(n);
     } else if (arg.size() >= 2 && arg.substr(0, 2) == "--") {
       util::expects(false,
                     "unknown flag: " + std::string(arg) +
                         " (supported: --workers N, --csv PATH, "
-                        "--points a=1,b=2, --point-timeout S, --retries N, "
-                        "--no-replay, --pp N, --tp N, --dp N, "
-                        "--zero none|1|2|3, --faults SPECS, "
+                        "--points a=1,b=2, --no-replay, --pp N, --tp N, "
+                        "--dp N, --zero none|1|2|3, --faults SPECS, "
                         "--fault-seed N, --ckpt-interval N, --ckpt-auto, "
                         "--mtbf SECONDS, --shard I/N, "
                         "--program-cache DIR, --no-program-cache, "
@@ -242,8 +218,6 @@ std::vector<std::pair<std::string_view, bool>> given_flags(
       {"--workers", o.workers != 0},
       {"--csv", o.csv_enabled()},
       {"--points", o.points_enabled()},
-      {"--point-timeout", o.point_timeout > 0.0},
-      {"--retries", o.retries > 0},
       {"--no-replay", o.no_replay},
       {"--pp", o.pipeline_parallel > 0},
       {"--tp", o.tensor_parallel > 0},

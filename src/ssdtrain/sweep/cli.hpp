@@ -26,10 +26,6 @@
 ///   --points a=1,b=2    run only the grid cells whose coordinates match
 ///                       every listed axis=value pair (repeatable; values
 ///                       compare by their axis to_string form)
-///   --point-timeout S   wall-clock budget per sweep point in seconds;
-///                       over-budget points are recorded as errors instead
-///                       of hanging the batch (0 = no timeout)
-///   --retries N         re-run a throwing point up to N extra times
 ///   --no-replay         force the legacy trace-every-step execution path
 ///                       (step record/replay is on by default; this flag is
 ///                       the A/B switch — results are bit-identical)
@@ -105,6 +101,7 @@
 /// plus its own positional arguments, which are passed through untouched.
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <optional>
 #include <string>
@@ -115,7 +112,6 @@
 #include "ssdtrain/ckpt/policy.hpp"
 #include "ssdtrain/fault/fault.hpp"
 #include "ssdtrain/parallel/parallel_config.hpp"
-#include "ssdtrain/sweep/runner.hpp"
 #include "ssdtrain/sweep/spec.hpp"
 
 namespace ssdtrain::sweep {
@@ -123,9 +119,7 @@ namespace ssdtrain::sweep {
 struct CliOptions {
   std::size_t workers = 0;  ///< 0 = one worker per hardware thread
   std::string csv_path;     ///< empty = no CSV output
-  double point_timeout = 0.0;  ///< seconds; 0 = no per-point timeout
-  int retries = 0;             ///< extra attempts for throwing points
-  bool no_replay = false;      ///< force the trace path in every session
+  bool no_replay = false;   ///< force the trace path in every session
   /// --points constraints, in order of appearance.
   std::vector<std::pair<std::string, std::string>> point_filter;
   std::vector<std::string> positional;
@@ -199,11 +193,6 @@ struct CliOptions {
     if (tensor_parallel > 0) parallel.tensor_parallel = tensor_parallel;
     if (data_parallel > 0) parallel.data_parallel = data_parallel;
     if (zero) parallel.zero = *zero;
-  }
-
-  /// The per-point policy for SweepRunner::map/run.
-  [[nodiscard]] MapOptions map_options() const {
-    return MapOptions{point_timeout, retries};
   }
 };
 

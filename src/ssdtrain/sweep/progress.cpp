@@ -38,9 +38,4 @@ void CsvProgress::commit(std::size_t index, std::vector<std::string> row) {
   commit(index, std::move(rows));
 }
 
-std::size_t CsvProgress::committed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return committed_;
-}
-
 }  // namespace ssdtrain::sweep

@@ -6,8 +6,8 @@
 /// on disk when the process dies, and gives a supervising driver no
 /// heartbeat to watch. CsvProgress inverts that: each sweep point commits
 /// its row(s) as soon as it finishes, and rows are *flushed in canonical
-/// order* (an in-order commit window over the out-of-order work-stealing
-/// completions), so
+/// order* (an in-order commit window: SweepRunner starts points in grid
+/// order, but concurrent workers finish them in any order), so
 ///
 ///   - the file on disk is always a clean prefix of the single-process
 ///     output plus at most one torn tail (which resume repairs), keeping
@@ -17,8 +17,8 @@
 ///   - a seeded --chaos-exec spec can SIGKILL/SIGSTOP the worker at an
 ///     exact committed-row boundary, making crash recovery testable.
 ///
-/// A point that fails (throws / times out) never commits, which stalls the
-/// window: later rows stay buffered and are not written. That is the safe
+/// A point that fails (throws) never commits, which stalls the window:
+/// later rows stay buffered and are not written. That is the safe
 /// behaviour — the bench exits nonzero, the orchestrator relaunches it, and
 /// resume re-runs everything from the hole onward.
 
@@ -52,14 +52,11 @@ class CsvProgress {
   /// One-row convenience.
   void commit(std::size_t index, std::vector<std::string> row);
 
-  /// Rows flushed to disk so far (excluding the header).
-  [[nodiscard]] std::size_t committed() const;
-
  private:
   std::string path_;
   util::CsvWriter writer_;
   ChaosExec chaos_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::size_t next_ = 0;       ///< next point index the window can flush
   std::size_t committed_ = 0;  ///< rows flushed
   std::map<std::size_t, std::vector<std::vector<std::string>>> pending_;

@@ -1,9 +1,7 @@
 #include "ssdtrain/sweep/resume.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "ssdtrain/util/check.hpp"
+#include "ssdtrain/util/csv.hpp"
 
 namespace ssdtrain::sweep {
 
@@ -41,26 +39,13 @@ CsvResume::CsvResume(const std::string& path,
                      std::vector<std::string> key_columns)
     : key_columns_(std::move(key_columns)) {
   util::expects(!key_columns_.empty(), "resume needs at least one key column");
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return;  // nothing to resume from
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-  // Complete ('\n'-terminated) lines only: a run killed mid-write leaves an
-  // unterminated tail that may hold the right number of commas with a
-  // truncated final cell — getline would hand it over looking whole, and
-  // counting it as completed would skip the interrupted point forever.
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  for (std::size_t nl = content.find('\n', start);
-       nl != std::string::npos; nl = content.find('\n', start)) {
-    lines.emplace_back(content.substr(start, nl - start));
-    start = nl + 1;
-  }
-  // The unterminated remainder (if any) is the torn tail the writer's
-  // append mode will truncate; record the repair so callers can surface it.
-  repaired_tail_ = start < content.size();
-  if (lines.empty()) return;  // empty file, or not even a finished header
+  // Complete lines only: counting a torn tail as completed would skip the
+  // interrupted point forever. The writer's append mode truncates the tail;
+  // record the repair so callers can surface it.
+  const util::CsvLines file = util::read_csv_lines(path);
+  repaired_tail_ = file.torn_tail;
+  const std::vector<std::string>& lines = file.lines;
+  if (lines.empty()) return;  // no file, or not even a finished header
   const std::vector<std::string> header = split_csv_line(lines.front());
   util::check(header.size() >= key_columns_.size(),
               "existing CSV '" + path + "' has fewer columns than the "

@@ -1,9 +1,6 @@
 #include "ssdtrain/sweep/runner.hpp"
 
 #include <algorithm>
-#include <cstdio>
-
-#include "ssdtrain/util/logging.hpp"
 
 namespace ssdtrain::sweep {
 
@@ -11,13 +8,9 @@ SweepRunner::SweepRunner(std::size_t workers) {
   if (workers == 0) {
     workers = std::max(1u, std::thread::hardware_concurrency());
   }
-  queues_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   threads_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+    threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -28,187 +21,45 @@ SweepRunner::~SweepRunner() {
   }
   work_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
-  // Joining here (not between batches) is the one place a truly
-  // never-returning abandoned point can still block; a merely slow one
-  // only delays destruction.
-  for (Replacement& r : replacements_) r.thread.join();
 }
 
-void SweepRunner::account_one() {
-  if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(mu_);
-    done_cv_.notify_all();
-  }
-}
-
-void SweepRunner::spawn_replacement() {
-  Replacement r;
-  r.retired = std::make_shared<std::atomic<bool>>(false);
-  std::atomic<bool>& flag = *r.retired;
-  r.thread = std::thread([this, &flag] { replacement_loop(flag); });
-  replacements_.push_back(std::move(r));
-}
-
-void SweepRunner::reap_retired_replacements() {
-  // Join only the replacements that have raised their retired flag; one
-  // still wedged inside an abandoned point is left running (and joined at
-  // destruction) so the next batch is never blocked by it.
-  std::size_t kept = 0;
-  for (Replacement& r : replacements_) {
-    if (r.retired->load(std::memory_order_acquire)) {
-      r.thread.join();
-    } else {
-      // Guard the self-move: assigning a joinable std::thread onto
-      // itself would call std::terminate.
-      if (&replacements_[kept] != &r) replacements_[kept] = std::move(r);
-      ++kept;
-    }
-  }
-  replacements_.resize(kept);
-}
-
-void SweepRunner::run_batch(std::vector<std::function<void()>> tasks,
-                            BatchState& batch, const MapOptions& options) {
+void SweepRunner::run_batch(std::size_t size,
+                            const std::function<void(std::size_t)>& point) {
+  if (size == 0) return;
   std::lock_guard<std::mutex> batch_lock(batch_mu_);
-  if (tasks.empty()) return;
-  reap_retired_replacements();
-
-  in_flight_.store(tasks.size(), std::memory_order_relaxed);
-  {
-    // Counter first: a worker that grabs a task the instant it lands must
-    // never underflow unclaimed_. The lock pairs with the wait predicate so
-    // the notify below cannot be missed.
-    std::lock_guard<std::mutex> lock(mu_);
-    unclaimed_.fetch_add(tasks.size(), std::memory_order_relaxed);
-  }
-  // Round-robin the points across worker deques; stealing rebalances any
-  // skew in per-point cost.
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    WorkerQueue& q = *queues_[i % queues_.size()];
-    std::lock_guard<std::mutex> lock(q.mu);
-    q.tasks.push_back(std::move(tasks[i]));
-  }
-  work_cv_.notify_all();
-  // Workers wedged in abandoned points from earlier batches cannot pick
-  // these tasks up; restore the lost width immediately.
-  const std::size_t wedged = wedged_.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < wedged; ++i) spawn_replacement();
-
-  const auto drained = [this] {
-    return in_flight_.load(std::memory_order_acquire) == 0;
-  };
   std::unique_lock<std::mutex> lock(mu_);
-  if (options.point_timeout <= 0.0) {
-    done_cv_.wait(lock, drained);
-    return;
-  }
-
-  // Watchdog: poll between waits, abandoning running points past their
-  // wall-clock budget. Abandoning accounts the slot (so the batch can
-  // drain) and spawns one replacement worker to cover the wedged one.
-  const auto timeout_ns = static_cast<std::int64_t>(
-      options.point_timeout * 1e9);
-  while (!drained()) {
-    done_cv_.wait_for(lock, std::chrono::milliseconds(20), drained);
-    if (drained()) break;
-    const std::int64_t now = BatchState::now_ns();
-    for (std::size_t i = 0; i < batch.slots.size(); ++i) {
-      SlotState& slot = batch.slots[i];
-      if (slot.state.load(std::memory_order_acquire) != SlotState::kRunning) {
-        continue;
-      }
-      const std::int64_t elapsed = now - slot.started_ns;
-      if (elapsed < timeout_ns) continue;
-      std::uint8_t expected = SlotState::kRunning;
-      if (!slot.state.compare_exchange_strong(expected, SlotState::kAbandoned,
-                                              std::memory_order_acq_rel)) {
-        continue;  // the point finished in the meantime
-      }
-      batch.abandoned.emplace_back(i, static_cast<double>(elapsed) * 1e-9);
-      util::log_warning("sweep point " + std::to_string(i) +
-                        " timed out; abandoning and spawning a replacement "
-                        "worker");
-      // Account directly (we already hold mu_; done_cv_ is re-checked by
-      // this loop, no notify needed).
-      in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-      wedged_.fetch_add(1, std::memory_order_acq_rel);
-      spawn_replacement();
-    }
-  }
+  point_ = &point;
+  size_ = size;
+  // Every worker left the previous batch, so none still claims from the
+  // cursor while it resets.
+  cursor_.store(0);
+  busy_ = threads_.size();
+  ++generation_;
+  work_cv_.notify_all();
+  // Waiting for every worker, not just for the last point, is what keeps
+  // a worker that wakes late from claiming from the next batch's cursor
+  // with this batch's (then dangling) point function.
+  done_cv_.wait(lock, [this] { return busy_ == 0; });
+  point_ = nullptr;
 }
 
-bool SweepRunner::try_pop_or_steal(std::size_t self,
-                                   std::function<void()>& task) {
-  // Own queue: LIFO tail for locality.
-  {
-    WorkerQueue& q = *queues_[self];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (!q.tasks.empty()) {
-      task = std::move(q.tasks.back());
-      q.tasks.pop_back();
-      unclaimed_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  // Steal: FIFO head of the other queues, round-robin from our right.
-  for (std::size_t k = 1; k < queues_.size(); ++k) {
-    WorkerQueue& q = *queues_[(self + k) % queues_.size()];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (!q.tasks.empty()) {
-      task = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      unclaimed_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-void SweepRunner::worker_loop(std::size_t self) {
+void SweepRunner::worker_loop() {
+  std::uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    if (try_pop_or_steal(self, task)) {
-      try {
-        task();
-      } catch (const std::exception& e) {
-        // map()'s wrappers capture per-point exceptions and account their
-        // slots; anything reaching here is a harness bug. Swallowing would
-        // hide it — log loudly.
-        util::log_error(std::string("sweep task threw: ") + e.what());
-      } catch (...) {
-        util::log_error("sweep task threw an unknown exception");
-      }
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    work_cv_.wait(lock, [this] {
-      return shutdown_ || unclaimed_.load(std::memory_order_acquire) > 0;
-    });
+    work_cv_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
     if (shutdown_) return;
-  }
-}
-
-void SweepRunner::replacement_loop(std::atomic<bool>& retired) {
-  // Drain whatever is queued, then retire; a replacement exists only to
-  // restore lost width while a timed-out point wedges a regular worker.
-  for (;;) {
-    std::function<void()> task;
-    if (!try_pop_or_steal(0, task)) break;
-    try {
-      task();
-    } catch (const std::exception& e) {
-      util::log_error(std::string("sweep task threw: ") + e.what());
-    } catch (...) {
-      util::log_error("sweep task threw an unknown exception");
+    seen = generation_;
+    const std::function<void(std::size_t)>& point = *point_;
+    const std::size_t size = size_;
+    lock.unlock();
+    for (std::size_t i = cursor_.fetch_add(1); i < size;
+         i = cursor_.fetch_add(1)) {
+      point(i);
     }
+    lock.lock();
+    if (--busy_ == 0) done_cv_.notify_one();
   }
-  retired.store(true, std::memory_order_release);
-}
-
-std::string SweepRunner::format_seconds(double seconds) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1fs", seconds);
-  return buf;
 }
 
 }  // namespace ssdtrain::sweep

@@ -1,42 +1,33 @@
 #pragma once
 
 /// \file runner.hpp
-/// Real OS-thread work-stealing pool for sharding independent sweep points
-/// across hardware cores. Unlike sim::SimThreadPool (which models host
-/// thread pools in simulated time), SweepRunner runs actual std::threads:
-/// each worker owns a deque, pops its own tail, and steals from other
-/// workers' heads when it runs dry, so skewed point costs (one OOM-retry
-/// BERT config next to nine cheap ones) still keep every core busy.
+/// Real OS-thread pool for running independent sweep points across hardware
+/// cores. Unlike sim::SimThreadPool (which models host thread pools in
+/// simulated time), SweepRunner runs actual std::threads: persistent
+/// workers claim the next point from one shared cursor. Points therefore
+/// start in grid order, and a worker that finishes a cheap point claims the
+/// next one, so skewed point costs (one OOM-retry BERT config next to nine
+/// cheap ones) still keep every core busy.
 ///
 /// Every sweep point must build its own isolated state — its own Simulator,
 /// TrainingSession, RNGs — because points execute concurrently. Results are
 /// written into a slot per point, so the output order is deterministic (it
 /// matches the input order) no matter how the points were scheduled, and a
 /// throwing point fails only that point: the exception is captured into the
-/// point's Outcome and the pool keeps draining.
-///
-/// Per-point policy (MapOptions): a throwing point can be retried, and a
-/// wall-clock timeout turns a stuck point into an error instead of a hung
-/// batch. Timed-out points are *abandoned*, not killed — their thread keeps
-/// running until the point function returns (its result is discarded), and
-/// a replacement worker is spawned so queued points still drain at full
-/// width. A point that literally never returns therefore cannot hang
-/// map(), but will delay the runner's destructor, which joins all threads.
+/// point's Outcome and the workers keep draining. A point that never
+/// returns is not stopped here; sweep_orchestrate's --stall-timeout kills
+/// the whole shard process.
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "ssdtrain/sweep/spec.hpp"
@@ -59,16 +50,6 @@ struct Outcome {
   }
 };
 
-/// Per-point execution policy for SweepRunner::map.
-struct MapOptions {
-  /// Wall-clock budget per point in seconds, covering all attempts;
-  /// <= 0 disables the timeout. An over-budget point is recorded as an
-  /// error ("timed out after ...") and its eventual result discarded.
-  double point_timeout = 0.0;
-  /// Extra attempts for a point whose function throws (0 = fail fast).
-  int retries = 0;
-};
-
 class SweepRunner {
  public:
   /// \p workers = 0 uses every hardware thread (at least one).
@@ -79,173 +60,58 @@ class SweepRunner {
 
   [[nodiscard]] std::size_t worker_count() const { return threads_.size(); }
 
-  /// Runs fn(items[i]) for every item across the pool; out[i] holds the
-  /// result (or the error message) for items[i] regardless of execution
-  /// order. Blocks until the whole batch drains (or every remaining point
-  /// is past its timeout). Not reentrant: one map() at a time per runner.
-  ///
-  /// Items and fn are copied into each task, and the output vector is
-  /// only written under the done-claiming CAS, so the batch's own state
-  /// stays safe when an abandoned (timed-out) point keeps running after
-  /// map() returns. What the copies cannot protect is anything fn
-  /// *references* (by-reference lambda captures, globals): when using a
-  /// point timeout, such state must stay valid until the runner is
-  /// destroyed, not just until map() returns.
+  /// Runs fn(items[i]) for every item across the workers, starting the
+  /// points in input order; out[i] holds the result (or the error message)
+  /// for items[i] regardless of which worker ran it. The caller blocks
+  /// until every worker has left the batch, so nothing still uses \p items
+  /// or \p fn when map() returns. fn is called concurrently, from every
+  /// worker at once. One map() runs at a time per runner.
   template <typename T, typename F>
-  auto map(const std::vector<T>& items, F fn, MapOptions options = {})
+  auto map(const std::vector<T>& items, F fn)
       -> std::vector<Outcome<std::invoke_result_t<F&, const T&>>> {
     using R = std::invoke_result_t<F&, const T&>;
     std::vector<Outcome<R>> out(items.size());
-    auto batch = std::make_shared<BatchState>(items.size());
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      tasks.push_back([this, batch, item = items[i], fn, i, &out, options] {
-        SlotState& slot = batch->slots[i];
-        slot.started_ns = BatchState::now_ns();
-        slot.state.store(SlotState::kRunning, std::memory_order_release);
-        for (int attempt = 0;; ++attempt) {
-          std::string error;
-          std::optional<R> value;
-          try {
-            value.emplace(fn(item));
-          } catch (const std::exception& e) {
-            error = e.what();
-            if (error.empty()) error = "unknown error";
-          } catch (...) {
-            error = "unknown exception";
-          }
-          if (value.has_value()) {
-            // Once the slot is claimed, this thread OWNS the accounting:
-            // nothing between the CAS and account_one() may escape, or
-            // in_flight_ never drains and map() hangs.
-            if (claim_done(slot)) {
-              try {
-                out[i].value = std::move(value);
-              } catch (...) {
-                // Throwing result move: record a short (SSO, non-
-                // allocating) error so the outcome is not silently empty.
-                out[i].value.reset();
-                out[i].error.assign("result move threw");
-              }
-              account_one();
-            } else {
-              wedged_.fetch_sub(1, std::memory_order_acq_rel);
-            }
-            return;
-          }
-          const bool abandoned =
-              slot.state.load(std::memory_order_acquire) ==
-              SlotState::kAbandoned;
-          if (attempt < options.retries && !abandoned) continue;
-          if (claim_done(slot)) {
-            try {
-              out[i].error =
-                  attempt > 0
-                      ? "failed after " + std::to_string(attempt + 1) +
-                            " attempts: " + error
-                      : error;
-            } catch (...) {
-              out[i].error.assign("error oom");  // SSO: cannot throw
-            }
-            account_one();
-          } else {
-            wedged_.fetch_sub(1, std::memory_order_acq_rel);
-          }
-          return;
-        }
-      });
-    }
-    run_batch(std::move(tasks), *batch, options);
-    for (const auto& [index, elapsed] : batch->abandoned) {
-      out[index].error = "timed out after " + format_seconds(elapsed) +
-                         " (still running, result discarded)";
-    }
+    run_batch(items.size(), [&](std::size_t i) noexcept {
+      Outcome<R>& slot = out[i];
+      try {
+        slot.value.emplace(fn(items[i]));
+      } catch (const std::exception& e) {
+        slot.error = e.what();
+        if (slot.error.empty()) slot.error = "unknown error";
+      } catch (...) {
+        slot.error = "unknown exception";
+      }
+    });
     return out;
   }
 
   /// SweepSpec convenience: fn(point) over spec.points().
   template <typename F>
-  auto run(const SweepSpec& spec, F fn, MapOptions options = {}) {
-    return map(spec.points(), std::move(fn), options);
+  auto run(const SweepSpec& spec, F fn) {
+    return map(spec.points(), std::move(fn));
   }
 
  private:
-  struct SlotState {
-    static constexpr std::uint8_t kPending = 0;
-    static constexpr std::uint8_t kRunning = 1;
-    static constexpr std::uint8_t kDone = 2;
-    static constexpr std::uint8_t kAbandoned = 3;
-    std::atomic<std::uint8_t> state{kPending};
-    /// steady_clock nanos at first attempt; published by the release store
-    /// of kRunning, read by the watchdog after an acquire load.
-    std::int64_t started_ns = 0;
-  };
+  /// Publishes a batch of \p size points and waits until every worker has
+  /// left it; \p point(i) runs point i and never throws.
+  void run_batch(std::size_t size,
+                 const std::function<void(std::size_t)>& point);
+  void worker_loop();
 
-  struct BatchState {
-    explicit BatchState(std::size_t n) : slots(n) {}
-    static std::int64_t now_ns() {
-      return std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 std::chrono::steady_clock::now().time_since_epoch())
-          .count();
-    }
-    std::vector<SlotState> slots;
-    /// (index, elapsed seconds) of timed-out points; written by the
-    /// watchdog (the map() caller thread) only.
-    std::vector<std::pair<std::size_t, double>> abandoned;
-  };
+  std::mutex batch_mu_;  ///< one batch at a time
 
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  /// CAS kRunning -> kDone; losing means the watchdog abandoned the slot
-  /// and this thread must discard its result and not account.
-  static bool claim_done(SlotState& slot) {
-    std::uint8_t expected = SlotState::kRunning;
-    return slot.state.compare_exchange_strong(expected, SlotState::kDone,
-                                              std::memory_order_acq_rel);
-  }
-
-  /// "0.1s"-style rendering so sub-second timeouts do not read as "0s".
-  static std::string format_seconds(double seconds);
-
-  void run_batch(std::vector<std::function<void()>> tasks,
-                 BatchState& batch, const MapOptions& options);
-  void account_one();
-  void worker_loop(std::size_t self);
-  void replacement_loop(std::atomic<bool>& retired);
-  bool try_pop_or_steal(std::size_t self, std::function<void()>& task);
-  void spawn_replacement();
-  void reap_retired_replacements();
-
-  /// A replacement worker plus a flag it raises when it retires, so
-  /// between-batch reaping can join exactly the threads that have
-  /// finished and never block on one still wedged in an abandoned point.
-  struct Replacement {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> retired;
-  };
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> threads_;
-  /// Temporary workers spawned when a timed-out point wedges a regular
-  /// worker; they drain the current queues and retire.
-  std::vector<Replacement> replacements_;
-
-  std::mutex mu_;                 // guards the two condvars' predicates
-  std::condition_variable work_cv_;   // workers: tasks available / shutdown
-  std::condition_variable done_cv_;   // caller: batch drained
-  std::atomic<std::size_t> unclaimed_{0};  // queued, not yet popped
-  std::atomic<std::size_t> in_flight_{0};  // queued or running, unaccounted
-  /// Workers (regular or replacement) currently stuck inside an abandoned
-  /// point; the next batch spawns this many replacements up front so a
-  /// wedged worker from a previous batch cannot starve it.
-  std::atomic<std::size_t> wedged_{0};
+  std::mutex mu_;  ///< guards the batch fields below and the two condvars
+  std::condition_variable work_cv_;  ///< workers: a new batch, or shutdown
+  std::condition_variable done_cv_;  ///< caller: every worker left the batch
+  const std::function<void(std::size_t)>* point_ = nullptr;
+  std::size_t size_ = 0;
+  std::uint64_t generation_ = 0;  ///< bumped once per published batch
+  std::size_t busy_ = 0;          ///< workers yet to leave the batch
   bool shutdown_ = false;
+  /// Next unclaimed index of the batch; reset only while busy_ == 0.
+  std::atomic<std::size_t> cursor_{0};
 
-  std::mutex batch_mu_;  // serializes concurrent run_batch callers
+  std::vector<std::thread> threads_;  ///< last: the workers use the above
 };
 
 }  // namespace ssdtrain::sweep

@@ -8,7 +8,6 @@
 /// from).
 
 #include <cstdint>
-#include <string_view>
 
 #include "ssdtrain/util/units.hpp"
 
@@ -31,7 +30,5 @@ constexpr util::Bytes element_size(DType dtype) {
   }
   return 0;
 }
-
-std::string_view to_string(DType dtype);
 
 }  // namespace ssdtrain::tensor

@@ -4,34 +4,6 @@
 
 namespace ssdtrain::tensor {
 
-std::string_view to_string(Device device) {
-  switch (device) {
-    case Device::cuda:
-      return "cuda";
-    case Device::cpu:
-      return "cpu";
-  }
-  return "?";
-}
-
-std::string_view to_string(DType dtype) {
-  switch (dtype) {
-    case DType::fp16:
-      return "fp16";
-    case DType::bf16:
-      return "bf16";
-    case DType::fp32:
-      return "fp32";
-    case DType::int8:
-      return "int8";
-    case DType::int32:
-      return "int32";
-    case DType::int64:
-      return "int64";
-  }
-  return "?";
-}
-
 Storage::Storage(hw::DeviceAllocator& allocator,
                  hw::DeviceAllocation allocation)
     : allocator_(&allocator),

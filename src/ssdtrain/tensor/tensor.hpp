@@ -30,8 +30,6 @@ namespace ssdtrain::tensor {
 
 enum class Device : std::uint8_t { cuda, cpu };
 
-std::string_view to_string(Device device);
-
 /// Refcounted backing store. Holds the device allocation (if on CUDA) and
 /// the get_id() stamp attribute the tensor cache attaches on first sight.
 class Storage {

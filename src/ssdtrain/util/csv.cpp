@@ -8,49 +8,41 @@
 
 namespace ssdtrain::util {
 
-namespace {
-
-bool has_content(const std::string& path) {
-  std::ifstream in(path);
-  return in.good() && in.peek() != std::ifstream::traits_type::eof();
-}
-
-bool ends_with_newline(const std::string& path) {
+CsvLines read_csv_lines(const std::string& path) {
+  CsvLines file;
   std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return true;
-  in.seekg(-1, std::ios::end);
-  char last = '\n';
-  in.get(last);
-  return last == '\n';
-}
-
-/// Byte length of the longest prefix of the file made of complete
-/// ('\n'-terminated) lines; 0 when no line ever finished.
-std::size_t complete_prefix_size(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return 0;
+  if (!in.good()) return file;
+  file.exists = true;
   std::ostringstream buffer;
   buffer << in.rdbuf();
   const std::string content = buffer.str();
-  const std::size_t last = content.find_last_of('\n');
-  return last == std::string::npos ? 0 : last + 1;
+  std::size_t start = 0;
+  for (std::size_t nl = content.find('\n', start); nl != std::string::npos;
+       nl = content.find('\n', start)) {
+    file.lines.emplace_back(content, start, nl - start);
+    start = nl + 1;
+  }
+  file.torn_tail = start < content.size();
+  return file;
 }
-
-}  // namespace
 
 CsvWriter::CsvWriter(const std::string& path,
                      const std::vector<std::string>& header, bool append)
     : columns_(header.size()) {
   expects(!header.empty(), "CSV needs at least one column");
-  bool resume = append && has_content(path);
-  if (resume && !ends_with_newline(path)) {
-    // A run killed mid-write can leave an unterminated partial row (which a
-    // resume scan must not count as done, and which must not survive into
-    // the resumed file — the repaired file has to be byte-identical to a
-    // clean run's). Truncate it away; the interrupted point re-runs.
-    const std::size_t keep = complete_prefix_size(path);
-    std::filesystem::resize_file(path, keep);
-    if (keep == 0) resume = false;  // not even the header survived
+  bool resume = false;
+  if (append) {
+    const CsvLines existing = read_csv_lines(path);
+    resume = !existing.lines.empty();  // else not even the header survived
+    if (existing.torn_tail) {
+      // A run killed mid-write can leave an unterminated partial row (which
+      // a resume scan must not count as done, and which must not survive
+      // into the resumed file — the repaired file has to be byte-identical
+      // to a clean run's). Truncate it away; the interrupted point re-runs.
+      std::size_t keep = 0;
+      for (const std::string& line : existing.lines) keep += line.size() + 1;
+      std::filesystem::resize_file(path, keep);
+    }
   }
   out_.open(path, resume ? std::ios::out | std::ios::app : std::ios::out);
   if (!out_) throw std::runtime_error("cannot open CSV file: " + path);

@@ -2,13 +2,28 @@
 
 /// \file csv.hpp
 /// Minimal CSV writer: benches optionally dump their series as CSV so the
-/// figures can be re-plotted outside the harness.
+/// figures can be re-plotted outside the harness. Also the one reader of
+/// committed rows that resume, the orchestrator's heartbeat and the shard
+/// merge share.
 
 #include <fstream>
 #include <string>
 #include <vector>
 
 namespace ssdtrain::util {
+
+/// A CSV file split on '\n'. Only complete ('\n'-terminated) lines count:
+/// a run killed mid-write leaves an unterminated tail that may hold the
+/// right number of commas with a truncated final cell, so it is reported as
+/// torn, never handed over looking whole.
+struct CsvLines {
+  bool exists = false;             ///< the file could be opened
+  std::vector<std::string> lines;  ///< complete lines, without the '\n'
+  bool torn_tail = false;          ///< an unterminated tail follows them
+};
+
+/// Reads and splits \p path (exists == false when it cannot be opened).
+CsvLines read_csv_lines(const std::string& path);
 
 /// Writes rows of cells to a CSV file. Cells containing commas, quotes, or
 /// newlines are quoted per RFC 4180.

@@ -44,16 +44,6 @@ bool WorkloadSpec::has_moe() const {
   return false;
 }
 
-const LayerSpec& WorkloadSpec::group_of(int index) const {
-  util::expects(index >= 0, "negative layer index");
-  for (const LayerSpec& group : layers) {
-    if (index < group.count) return group;
-    index -= group.count;
-  }
-  util::check(false, "layer index past the end of the workload");
-  return layers.back();  // unreachable
-}
-
 const LayerSpec& WorkloadSpec::last_group() const {
   util::expects(!layers.empty(), "empty workload");
   return layers.back();

@@ -97,8 +97,6 @@ struct WorkloadSpec {
   [[nodiscard]] int total_layers() const;
   [[nodiscard]] bool has_cross_attention() const;
   [[nodiscard]] bool has_moe() const;
-  /// The group owning transformer layer \p index (0-based, forward order).
-  [[nodiscard]] const LayerSpec& group_of(int index) const;
   /// The last transformer layer's group — the keep-last-module carve-out
   /// (paper Fig. 2 (4)) is sized from this group's FFN variant.
   [[nodiscard]] const LayerSpec& last_group() const;

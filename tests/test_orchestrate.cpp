@@ -18,7 +18,7 @@
 //                    shard races the same key file
 //
 // The gtest half spawns this same binary (argv[0] via /proc/self/exe)
-// through the real LocalLauncher under a real Supervisor, so crash
+// through the real Launcher under a real Supervisor, so crash
 // relaunch, hung-shard kill, backoff exhaustion, seeded chaos kills, torn
 // tail repair, and merge verification all run against actual processes.
 
@@ -218,7 +218,7 @@ struct Harness {
   }
 
   fs::path dir;
-  orc::LocalLauncher launcher;
+  orc::Launcher launcher;
   std::vector<std::string> logs;
 };
 
@@ -344,7 +344,7 @@ TEST(OrchestrateMerge, InterleavesRoundRobinByteIdentically) {
 
 TEST(OrchestrateLauncher, LocalReportsExitCodesAndKills) {
   Harness h("launcher");
-  orc::LocalLauncher launcher;
+  orc::Launcher launcher;
   const std::string log = (h.dir / "worker.log").string();
 
   const int ok = launcher.spawn(0, {"/bin/sh", "-c", "echo hi; exit 3"}, log);
@@ -371,8 +371,8 @@ TEST(OrchestrateLauncher, CommandTemplateFormatsQuotedCommands) {
   EXPECT_EQ(orc::shell_quote("a b"), "'a b'");
   EXPECT_EQ(orc::shell_quote("it's"), "'it'\\''s'");
 
-  const orc::CommandTemplateLauncher launcher("ssh {host} {cmd} # {shard}",
-                                              {"gpu01", "gpu02"});
+  const orc::Launcher launcher("ssh {host} {cmd} # {shard}",
+                               {"gpu01", "gpu02"});
   const std::string formatted =
       launcher.format(3, {"/opt/bench", "--csv", "a b.csv"});
   EXPECT_EQ(formatted, "ssh gpu02 '/opt/bench' '--csv' 'a b.csv' # 3");
@@ -382,7 +382,7 @@ TEST(OrchestrateLauncher, CommandTemplateRunsThroughTheShell) {
   Harness h("template");
   // A local "transport": the template wraps the worker command in sh, the
   // same way `ssh {host} {cmd}` would on a real cluster.
-  orc::CommandTemplateLauncher launcher("{cmd}", {});
+  orc::Launcher launcher("{cmd}", {});
   const std::string log = (h.dir / "t.log").string();
   const int handle = launcher.spawn(0, {"/bin/echo", "shard zero"}, log);
   EXPECT_TRUE(launcher.wait(handle).ok());

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -95,7 +96,7 @@ TEST(SweepRunner, ResultsArriveInPointOrderRegardlessOfWorkerCount) {
     sweep::SweepRunner runner(workers);
     EXPECT_EQ(runner.worker_count(), workers);
     const auto out = runner.map(items, [](std::int64_t v) {
-      // Skewed cost so fast workers run dry and steal.
+      // Skewed cost so fast workers claim more of the points.
       if (v % 7 == 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
@@ -190,125 +191,25 @@ TEST(SweepRunner, ManySmallPointsKeepEveryWorkerHonest) {
   }
 }
 
-TEST(SweepRunner, RetriesRerunThrowingPoints) {
-  sweep::SweepRunner runner(2);
-  std::atomic<int> attempts{0};
-  sweep::MapOptions options;
-  options.retries = 3;
-  const auto out = runner.map(
-      std::vector<int>{7},
-      [&attempts](int v) {
-        // Fails twice, then succeeds: retries must re-run the point.
-        if (attempts.fetch_add(1, std::memory_order_relaxed) < 2) {
-          throw std::runtime_error("transient");
-        }
-        return v * 2;
-      },
-      options);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_TRUE(out[0].ok());
-  EXPECT_EQ(out[0].get(), 14);
-  EXPECT_EQ(attempts.load(), 3);
-}
-
-TEST(SweepRunner, ExhaustedRetriesReportAttemptCount) {
-  sweep::SweepRunner runner(2);
-  sweep::MapOptions options;
-  options.retries = 2;
-  const auto out = runner.map(
-      std::vector<int>{1},
-      [](int) -> int { throw std::runtime_error("always broken"); },
-      options);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_FALSE(out[0].ok());
-  EXPECT_NE(out[0].error.find("failed after 3 attempts"), std::string::npos);
-  EXPECT_NE(out[0].error.find("always broken"), std::string::npos);
-}
-
-TEST(SweepRunner, TimedOutPointBecomesErrorNotHang) {
-  sweep::SweepRunner runner(2);
-  sweep::MapOptions options;
-  options.point_timeout = 0.05;
-  const auto start = std::chrono::steady_clock::now();
-  const auto out = runner.map(
-      std::vector<int>{1, 2},
-      [](int v) {
-        if (v == 1) {
-          // Far past the budget; the watchdog abandons the point and the
-          // batch completes while this sleep is still running.
-          std::this_thread::sleep_for(std::chrono::milliseconds(400));
-        }
-        return v * 10;
-      },
-      options);
-  const auto elapsed = std::chrono::duration<double>(
-      std::chrono::steady_clock::now() - start);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_FALSE(out[0].ok());
-  EXPECT_NE(out[0].error.find("timed out"), std::string::npos);
-  EXPECT_TRUE(out[1].ok());
-  EXPECT_EQ(out[1].get(), 20);
-  // The batch returned on the watchdog's schedule, not the sleeper's.
-  EXPECT_LT(elapsed.count(), 0.35);
-}
-
-TEST(SweepRunner, QueuedPointsDrainDespiteWedgedWorker) {
-  // One worker, first point wedges it past the timeout: the replacement
-  // worker must still run the queued points so the batch drains.
-  sweep::SweepRunner runner(1);
-  sweep::MapOptions options;
-  options.point_timeout = 0.05;
-  const auto out = runner.map(
-      std::vector<int>{0, 1, 2, 3},
-      [](int v) {
-        if (v == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(400));
-        }
-        return v + 100;
-      },
-      options);
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_FALSE(out[0].ok());
-  for (std::size_t i = 1; i < 4; ++i) {
-    EXPECT_TRUE(out[i].ok()) << out[i].error;
-    EXPECT_EQ(out[i].get(), static_cast<int>(i) + 100);
+TEST(SweepRunner, BackToBackBatchesOfEverySize) {
+  // Hammers the batch hand-off: every round publishes a new batch on the
+  // same workers, including empty ones and batches smaller than the pool.
+  sweep::SweepRunner runner(4);
+  std::vector<std::size_t> sizes(10);
+  std::iota(sizes.begin(), sizes.end(), std::size_t{0});
+  sizes.push_back(100);
+  for (int round = 0; round < 200; ++round) {
+    for (const std::size_t size : sizes) {
+      std::vector<int> items(size);
+      std::iota(items.begin(), items.end(), round);
+      const auto out = runner.map(items, [](int v) { return 3 * v; });
+      ASSERT_EQ(out.size(), size);
+      for (std::size_t i = 0; i < size; ++i) {
+        ASSERT_TRUE(out[i].ok()) << out[i].error;
+        ASSERT_EQ(out[i].get(), 3 * items[i]) << "round " << round;
+      }
+    }
   }
-}
-
-TEST(SweepRunner, NextBatchIsNotStarvedByWedgedWorker) {
-  // Batch 1's only worker wedges in an abandoned point; batch 2 must not
-  // wait for it: run_batch restores the lost width with a replacement.
-  sweep::SweepRunner runner(1);
-  sweep::MapOptions options;
-  options.point_timeout = 0.05;
-  const auto first = runner.map(
-      std::vector<int>{0},
-      [](int v) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(500));
-        return v;
-      },
-      options);
-  EXPECT_FALSE(first[0].ok());
-
-  const auto start = std::chrono::steady_clock::now();
-  const auto second =
-      runner.map(std::vector<int>{1, 2}, [](int v) { return v + 1; });
-  const auto elapsed = std::chrono::duration<double>(
-      std::chrono::steady_clock::now() - start);
-  ASSERT_EQ(second.size(), 2u);
-  EXPECT_EQ(second[0].get(), 2);
-  EXPECT_EQ(second[1].get(), 3);
-  EXPECT_LT(elapsed.count(), 0.3);  // not the sleeper's remaining ~450ms
-}
-
-TEST(SweepCli, ParsesPointTimeoutAndRetries) {
-  const char* argv[] = {"bench", "--point-timeout", "2.5", "--retries", "4"};
-  const auto options = sweep::parse_cli(5, const_cast<char**>(argv));
-  EXPECT_DOUBLE_EQ(options.point_timeout, 2.5);
-  EXPECT_EQ(options.retries, 4);
-  const auto map_options = options.map_options();
-  EXPECT_DOUBLE_EQ(map_options.point_timeout, 2.5);
-  EXPECT_EQ(map_options.retries, 4);
 }
 
 TEST(SweepCli, ParsesWorkersCsvAndPositionals) {
@@ -608,6 +509,12 @@ TEST(SweepCli, DefaultsAndErrors) {
   const char* unknown[] = {"bench", "--frobnicate"};
   EXPECT_THROW(sweep::parse_cli(2, const_cast<char**>(unknown)),
                u::ContractViolation);
+  const char* timeout[] = {"bench", "--point-timeout", "9"};
+  EXPECT_THROW(sweep::parse_cli(3, const_cast<char**>(timeout)),
+               u::ContractViolation);
+  const char* retries[] = {"bench", "--retries", "1"};
+  EXPECT_THROW(sweep::parse_cli(3, const_cast<char**>(retries)),
+               u::ContractViolation);
 }
 
 TEST(SweepCli, ParsesShardAndProgramCacheFlags) {
@@ -884,7 +791,7 @@ TEST(BenchMain, ShapesRejectFlagsTheyCannotHonour) {
     EXPECT_NO_THROW(sweep::BenchMain(argv.argc(), argv.argv(), Shape::batch))
         << flags.front();
   }
-  Argv plain({"--workers", "2", "--retries", "1", "--point-timeout", "9"});
+  Argv plain({"--workers", "2"});
   EXPECT_NO_THROW(
       sweep::BenchMain(plain.argc(), plain.argv(), Shape::analytic));
 }
@@ -943,8 +850,6 @@ TEST(SweepCli, MicrobenchesRejectEveryFlagTheyDoNotApply) {
   const std::vector<std::vector<std::string>> dropped = {
       {"--workers", "2"},
       {"--points", "a=1"},
-      {"--point-timeout", "9"},
-      {"--retries", "1"},
       {"--no-replay"},
       {"--faults", "io-error:rate=0.5"},
       {"--fault-seed", "3"},
@@ -1056,6 +961,32 @@ TEST(BenchMain, StreamedResumesFixedPointKeysAndAppendsOnlyMissingRows) {
                       value, key)
                   .empty());
   EXPECT_EQ(rerun.exit_code(), 0);
+}
+
+TEST(BenchMain, StreamedRowsReachTheFileWhileTheGridRuns) {
+  // The data-row count is sweep_orchestrate's heartbeat: a point's row must
+  // be on disk once it and every earlier point finished, not only when the
+  // whole grid has run. With one worker, point i starts after i rows.
+  TempCsv tmp("bench_main_heartbeat.csv");
+  sweep::SweepSpec spec;
+  spec.axis("i", std::vector<std::int64_t>{0, 1, 2, 3, 4, 5});
+  Argv argv({"--workers", "1", "--csv", tmp.path});
+  sweep::BenchMain bench(argv.argc(), argv.argv(), Shape::streamed);
+  const auto done = bench.stream(
+      spec, {"i", "rows_seen"},
+      [&tmp](const sweep::SweepPoint&) -> std::int64_t {
+        const std::string text = read_file(tmp.path);
+        const auto lines = std::count(text.begin(), text.end(), '\n');
+        return lines > 0 ? lines - 1 : 0;  // the header is not a row
+      },
+      [](std::int64_t rows) -> sweep::Cells {
+        return {std::to_string(rows)};
+      });
+  ASSERT_EQ(done.size(), 6u);
+  for (const auto& [point, rows_seen] : done) {
+    EXPECT_EQ(rows_seen, point.i64("i"));
+  }
+  EXPECT_EQ(bench.exit_code(), 0);
 }
 
 TEST(BenchMain, StreamedHonoursPointsAndShardWithDefaultKeys) {

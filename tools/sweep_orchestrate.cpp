@@ -32,7 +32,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <limits>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -165,17 +164,8 @@ int main(int argc, char** argv) {
                             "worker command after '--' is required");
     if (config.workdir.empty()) config.workdir = config.out_csv + ".shards";
 
-    orc::LocalLauncher local;
-    std::unique_ptr<orc::CommandTemplateLauncher> templated;
-    if (!launcher_template.empty()) {
-      templated = std::make_unique<orc::CommandTemplateLauncher>(
-          launcher_template, hosts);
-      config.launcher = templated.get();
-    } else {
-      ssdtrain::util::expects(hosts.empty(),
-                              "--hosts needs --launcher-template");
-      config.launcher = &local;
-    }
+    orc::Launcher launcher(launcher_template, hosts);
+    config.launcher = &launcher;
 
     orc::Supervisor supervisor(std::move(config));
     const orc::SupervisorReport report = supervisor.run();
